@@ -16,9 +16,7 @@ row carries an estimated-error column.
 
 Config files are key=value lines (# comments allowed) overriding the
 quadrature defaults: rel_tol, abs_tol, max_subdivisions,
-theta_truncation_factor, singularity_split.  The environment variable
-LPVOL_THREADS caps how many worker threads a command may use for its
-independent rows; any setting yields identical output bytes.
+theta_truncation_factor, singularity_split.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 invalid arguments,
 3 quadrature or solver failure.
@@ -34,7 +32,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import metadata
 
@@ -161,31 +158,9 @@ def _load_config(path) -> QuadConfig:
     }, **overrides})
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("LPVOL_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"LPVOL_THREADS must be a positive integer, "
-                          f"got {raw!r}")
-    if cap < 1:
-        raise DomainError(f"LPVOL_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _pmap(fn, items):
-    """Ordered map over independent rows, threaded up to the cap.
-
-    Rows are pure computations on immutable inputs, and collection
-    preserves order, so the thread count never changes the output."""
-    items = list(items)
-    cap = _thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """Ordered map over the independent rows of a table."""
+    return [fn(it) for it in items]
 
 
 # -- output ----------------------------------------------------------------

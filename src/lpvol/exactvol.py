@@ -245,10 +245,6 @@ def intrinsic_volume_weighted(spec: PBallSpec, j: int,
         raise DomainError(f"intrinsic volume index {j} outside 0..{n}")
     if j == n:
         return IntrinsicVolumeResult(volume(spec), n, 0, 0.0)
-    if j == 0:
-        # V_0 is the Euler characteristic of a convex body; evaluating the
-        # m = n moment integral anyway keeps this route self-testing
-        pass
     req = MomentRequest(n - j, ())
     log_val, rel, nodes = _moment_log(spec, req, cfg)
     return IntrinsicVolumeResult(LogValue.from_log(log_val), j, nodes, rel)

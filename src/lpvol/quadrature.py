@@ -1,11 +1,13 @@
 """Adaptive Gauss-Kronrod quadrature.
 
-Two engines share one refinement strategy: a linear-domain engine for
-vector-valued integrands (many components evaluated on one shared grid,
-refined until every component meets its tolerance) and a log-domain engine
-for positive integrands whose magnitude can reach exp(+-1e5).  The base
-rule is the 15-point Kronrod extension of 7-point Gauss; the error model
-is the classical (200 |K - G| / resasc)^{3/2} rescaling.
+One refinement loop (_refine) drives two GK15 kernels: a linear-domain
+kernel for vector-valued integrands (many components evaluated on one
+shared grid, refined until every component meets its tolerance; quad_gk)
+and a log-domain kernel for positive integrands whose magnitude can reach
+exp(+-1e5) (quad_gk_log).  Each engine supplies its kernel and its
+convergence test.  The base rule is the 15-point Kronrod extension of
+7-point Gauss; the error model is the classical
+(200 |K - G| / resasc)^{3/2} rescaling.
 
 Refinement is batched: every sweep splits all intervals whose local error
 exceeds its share of the budget, so the integrand callable is invoked on
@@ -80,55 +82,6 @@ def _eval_linear(f, a_arr, b_arr):
     return resk, errs
 
 
-def quad_gk(f, a, b, *, rel_tol, abs_tol, max_subdivisions):
-    """Integrate vector integrand f over [a, b].
-
-    f maps a flat node array (nx,) to (nc, nx) (or (nx,) for one
-    component).  Returns (values (nc,), error estimates (nc,), intervals).
-    Raises QuadratureFailure if the per-component tolerance
-    max(abs_tol, rel_tol*|integral|) cannot be met within the budget.
-    """
-    if not b > a:
-        raise DomainError(f"bad interval [{a}, {b}]")
-    a_arr = np.array([float(a)])
-    b_arr = np.array([float(b)])
-    vals, errs = _eval_linear(f, a_arr, b_arr)
-    while True:
-        ni = len(a_arr)
-        total = vals.sum(axis=1)
-        errtot = errs.sum(axis=1)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(errtot <= tol):
-            return total, errtot, ni
-        share = tol[:, None] / (2.0 * ni)
-        bad = (errs > share).any(axis=0)
-        if not bad.any():
-            bad[np.argmax(errs.max(axis=0))] = True
-        room = max_subdivisions - ni
-        if room <= 0:
-            raise QuadratureFailure(
-                f"GK15 budget of {max_subdivisions} intervals exhausted; "
-                f"error {errtot.max():.3e} vs tolerance {tol.min():.3e}")
-        if bad.sum() > room:
-            order = np.argsort(-errs.max(axis=0))
-            keep_bad = np.zeros_like(bad)
-            keep_bad[order[:room]] = bad[order[:room]]
-            bad = keep_bad & bad
-            if not bad.any():
-                bad[order[0]] = True
-        ka, kb = a_arr[~bad], b_arr[~bad]
-        kv, ke = vals[:, ~bad], errs[:, ~bad]
-        sa, sb = a_arr[bad], b_arr[bad]
-        sm = 0.5 * (sa + sb)
-        na = np.concatenate([sa, sm])
-        nb = np.concatenate([sm, sb])
-        nv, ne = _eval_linear(f, na, nb)
-        a_arr = np.concatenate([ka, na])
-        b_arr = np.concatenate([kb, nb])
-        vals = np.concatenate([kv, nv], axis=1)
-        errs = np.concatenate([ke, ne], axis=1)
-
-
 def _eval_log(logf, a_arr, b_arr):
     """GK15 in log space on a batch of intervals (positive integrand)."""
     mid = 0.5 * (a_arr + b_arr)
@@ -160,6 +113,75 @@ def _eval_log(logf, a_arr, b_arr):
     return logval, logerr
 
 
+def _refine(kernel, status, a, b, max_subdivisions, rule):
+    """Budgeted bisection: the refinement loop of both engines.
+
+    kernel(a_arr, b_arr) applies GK15 to a batch of intervals and returns
+    (values, errors) with the intervals on the last axis.  status(values,
+    errors, ni) returns (result, bad, score, detail): result is the
+    (value, error) pair once the engine's convergence test passes and None
+    before; bad flags the intervals whose error exceeds their share of
+    the tolerance, score ranks intervals for splitting when the budget is
+    short, and detail describes the shortfall if the budget runs out.
+    Returns (value, error, intervals).
+    """
+    if not b > a:
+        raise DomainError(f"bad interval [{a}, {b}]")
+    a_arr = np.array([float(a)])
+    b_arr = np.array([float(b)])
+    vals, errs = kernel(a_arr, b_arr)
+    while True:
+        ni = len(a_arr)
+        result, bad, score, detail = status(vals, errs, ni)
+        if result is not None:
+            return (*result, ni)
+        if not bad.any():
+            bad[np.argmax(score)] = True
+        room = max_subdivisions - ni
+        if room <= 0:
+            raise QuadratureFailure(
+                f"{rule} budget of {max_subdivisions} intervals exhausted; "
+                f"{detail}")
+        if bad.sum() > room:
+            order = np.argsort(-score)
+            keep_bad = np.zeros_like(bad)
+            keep_bad[order[:room]] = bad[order[:room]]
+            bad = keep_bad & bad
+            if not bad.any():
+                bad[order[0]] = True
+        sa, sb = a_arr[bad], b_arr[bad]
+        sm = 0.5 * (sa + sb)
+        na = np.concatenate([sa, sm])
+        nb = np.concatenate([sm, sb])
+        nv, ne = kernel(na, nb)
+        a_arr = np.concatenate([a_arr[~bad], na])
+        b_arr = np.concatenate([b_arr[~bad], nb])
+        vals = np.concatenate([vals[..., ~bad], nv], axis=-1)
+        errs = np.concatenate([errs[..., ~bad], ne], axis=-1)
+
+
+def quad_gk(f, a, b, *, rel_tol, abs_tol, max_subdivisions):
+    """Integrate vector integrand f over [a, b].
+
+    f maps a flat node array (nx,) to (nc, nx) (or (nx,) for one
+    component).  Returns (values (nc,), error estimates (nc,), intervals).
+    Raises QuadratureFailure if the per-component tolerance
+    max(abs_tol, rel_tol*|integral|) cannot be met within the budget.
+    """
+    def status(vals, errs, ni):
+        total = vals.sum(axis=1)
+        errtot = errs.sum(axis=1)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        if np.all(errtot <= tol):
+            return (total, errtot), None, None, None
+        bad = (errs > tol[:, None] / (2.0 * ni)).any(axis=0)
+        return (None, bad, errs.max(axis=0),
+                f"error {errtot.max():.3e} vs tolerance {tol.min():.3e}")
+
+    return _refine(lambda aa, bb: _eval_linear(f, aa, bb), status, a, b,
+                   max_subdivisions, "GK15")
+
+
 def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, log_floor=LOG_ZERO):
     """Integrate exp(logf) over [a, b] entirely in log space.
 
@@ -167,46 +189,18 @@ def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, log_floor=LOG_ZERO):
     Returns (log integral, log error estimate, intervals).  Termination:
     total log-error <= max(log_floor, log(rel_tol) + log integral).
     """
-    if not b > a:
-        raise DomainError(f"bad interval [{a}, {b}]")
-    log_rel = math.log(rel_tol)
-    a_arr = np.array([float(a)])
-    b_arr = np.array([float(b)])
-    logv, loge = _eval_log(logf, a_arr, b_arr)
-    while True:
-        ni = len(a_arr)
+    def status(logv, loge, ni):
         logtot = float(logsumexp_arr(logv))
         logerrtot = float(logsumexp_arr(loge))
-        logtol = max(log_floor, log_rel + logtot)
+        logtol = max(log_floor, math.log(rel_tol) + logtot)
         if logerrtot <= logtol or logtot == LOG_ZERO:
-            return logtot, logerrtot, ni
-        share = logtol - math.log(2.0 * ni)
-        bad = loge > share
-        if not bad.any():
-            bad[np.argmax(loge)] = True
-        room = max_subdivisions - ni
-        if room <= 0:
-            raise QuadratureFailure(
-                f"log-GK15 budget of {max_subdivisions} intervals exhausted; "
+            return (logtot, logerrtot), None, None, None
+        bad = loge > logtol - math.log(2.0 * ni)
+        return (None, bad, loge,
                 f"log-error {logerrtot:.3f} vs log-tolerance {logtol:.3f}")
-        if bad.sum() > room:
-            order = np.argsort(-loge)
-            keep_bad = np.zeros_like(bad)
-            keep_bad[order[:room]] = bad[order[:room]]
-            bad = keep_bad & bad
-            if not bad.any():
-                bad[order[0]] = True
-        ka, kb = a_arr[~bad], b_arr[~bad]
-        kv, ke = logv[~bad], loge[~bad]
-        sa, sb = a_arr[bad], b_arr[bad]
-        sm = 0.5 * (sa + sb)
-        na = np.concatenate([sa, sm])
-        nb = np.concatenate([sm, sb])
-        nv, ne = _eval_log(logf, na, nb)
-        a_arr = np.concatenate([ka, na])
-        b_arr = np.concatenate([kb, nb])
-        logv = np.concatenate([kv, nv])
-        loge = np.concatenate([ke, ne])
+
+    return _refine(lambda aa, bb: _eval_log(logf, aa, bb), status, a, b,
+                   max_subdivisions, "log-GK15")
 
 
 def log_theta_integral(power, log_smooth, s_tail, cfg):

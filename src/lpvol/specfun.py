@@ -167,10 +167,6 @@ _CACHE: dict = {}
 _CACHE_LIMIT = 500_000
 
 
-def clear_cache():
-    _CACHE.clear()
-
-
 def _core_log_table(c1s, e1, c2s, e2, nus, cfg):
     """log of integral_0^inf u^nu exp(-c1 u^e1 - c2 u^e2) du, tabled.
 
@@ -320,12 +316,6 @@ def ijkl(p, t, cfg=None) -> IJKL:
     tab = f_family_log_table(
         p, [t], [0.0, p - 2.0, 2.0 * p - 2.0, 3.0 * p - 4.0], cfg)
     return IJKL(*np.exp(tab[0]))
-
-
-def ijkl_log(p, t, cfg=None) -> np.ndarray:
-    p = as_exponent(p)
-    return f_family_log_table(
-        p, [t], [0.0, p - 2.0, 2.0 * p - 2.0, 3.0 * p - 4.0], cfg)[0]
 
 
 def f_family_at_zero_log(p, nu) -> float:

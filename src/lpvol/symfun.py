@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, OverflowGuard
 from .logspace import logsumexp_arr
 
-__all__ = ["elementary_symmetric", "batched_loo_log", "loo_coefficient_sums"]
+__all__ = ["elementary_symmetric", "batched_loo_log"]
 
 _MAX_FACTORS = 960  # binomial C(n, n/2) must stay below float overflow
 
@@ -99,17 +99,3 @@ def batched_loo_log(logv, logu, logw, m) -> np.ndarray:
         logdot = np.log(dot)
     contrib = logw + logdot + loo_scale
     return logsumexp_arr(contrib, axis=1)
-
-
-def loo_coefficient_sums(v, u, w, m) -> float:
-    """Linear-scale convenience wrapper around batched_loo_log for one row
-    of positive inputs."""
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if np.any(v < 0) or np.any(u < 0) or np.any(w < 0):
-        raise DomainError("inputs must be nonnegative")
-    with np.errstate(divide="ignore"):
-        out = batched_loo_log(np.log(v)[None, :], np.log(u)[None, :],
-                              np.log(w)[None, :], m)
-    return float(np.exp(out[0]))

@@ -1,8 +1,8 @@
 """End-to-end tests of the command-line front end, run in process.
 
 Focus areas: correctness of the emitted tables against closed forms,
-byte determinism (including thread-count independence), the documented
-output schema, and the exit-code contract.
+byte determinism across reruns, the documented output schema, and the
+exit-code contract.
 """
 
 import json
@@ -113,16 +113,17 @@ class TestOutputContract:
                 assert float(cell) == val
 
     def test_reruns_are_byte_identical(self, capsys):
-        _, first, _ = run(capsys, self.ARGV + ["--format", "json"])
-        _, second, _ = run(capsys, self.ARGV + ["--format", "json"])
-        assert first == second
-
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.setenv("LPVOL_THREADS", "1")
-        _, serial, _ = run(capsys, self.ARGV)
-        monkeypatch.setenv("LPVOL_THREADS", "4")
-        _, threaded, _ = run(capsys, self.ARGV)
-        assert serial == threaded
+        # The last two commands printed different bytes from run to run
+        # while table rows were computed on a thread pool, but only some
+        # of the time, so one passing run of them proved little.
+        for argv in (self.ARGV + ["--format", "json"],
+                     ["intrinsic", "-p", "3", "-n", "60", "--all"],
+                     ["asymptotic", "-p", "1.5", "--regime", "bulk",
+                      "--alpha", "0.5", "--n", "20,40,80,160"]):
+            rc, first, _ = run(capsys, argv)
+            _, second, _ = run(capsys, argv)
+            assert rc == 0
+            assert first == second, argv
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, self.ARGV)
@@ -154,14 +155,6 @@ class TestOutputContract:
         rc, _, err = run(capsys, self.ARGV + ["--config", str(path)])
         assert rc == 2
         assert f"{path}:1" in err
-
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("LPVOL_THREADS", "many")
-        rc, _, err = run(capsys, self.ARGV)
-        assert rc == 2
-        monkeypatch.setenv("LPVOL_THREADS", "0")
-        rc, _, err = run(capsys, self.ARGV)
-        assert rc == 2
 
     def test_wall_time_only_on_stderr(self, capsys):
         rc, out, err = run(capsys, self.ARGV)
