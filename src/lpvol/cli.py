@@ -41,7 +41,7 @@ from .errors import (ConvergenceFailure, DegenerateInput, DomainError,
                      QuadratureFailure)
 from .specfun import DEFAULT_CONFIG, QuadConfig
 from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volume_weighted,
-                       steiner_polynomial, surface_moment)
+                       steiner_polynomial)
 from . import oracles
 from .oracles import McConfig, steiner_mc_volume
 from .asymptotics import (bulk_asymptotic, exp_profile, left_edge_asymptotic,
@@ -286,15 +286,14 @@ def cmd_asymptotic(args) -> int:
 
     def row(n):
         if args.regime == "surface":
-            exact = surface_moment(PBallSpec.unit(p, n), (), cfg)
-            log_exact = math.log(exact)
+            # the surface area is 2 V_(n-1)
+            res = intrinsic_volume(PBallSpec.unit(p, n), n - 1, cfg)
+            log_exact = res.value.log_abs + math.log(2.0)
             log_asym = surface_area_asymptotic(p, n).log_abs
-            err = cfg.rel_tol * _TABLE_ERR_FACTOR
         else:
             j = face_index(n)
             res = intrinsic_volume(PBallSpec.unit(p, n), j, cfg)
             log_exact = res.value.log_abs
-            err = res.est_rel_error
             if args.regime == "bulk":
                 log_asym = bulk_asymptotic(p, n, j, cfg).log_abs
             elif args.regime == "left":
@@ -303,7 +302,7 @@ def cmd_asymptotic(args) -> int:
                 log_asym = right_edge_asymptotic(p, n, args.m).log_abs
         ln10 = math.log(10.0)
         return (n, log_exact / ln10, log_asym / ln10,
-                math.exp(log_exact - log_asym), err)
+                math.exp(log_exact - log_asym), res.est_rel_error)
 
     for n in ns:
         face_index(n)          # validate all rows before spending time

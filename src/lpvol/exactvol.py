@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, OverflowGuard
-from .logspace import LogValue, log_add, log_sub
-from .quadrature import log_theta_integral, quad_gk_log
+from .logspace import LogValue
+from .quadrature import log_theta_integral
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       kappa, log_choose, log_kappa)
 from .symfun import batched_loo_log
@@ -190,6 +190,27 @@ def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
         math.exp(log_err - log_int))
 
 
+def _coordinate_log_f(spec: PBallSpec, columns, cfg: QuadConfig):
+    """F-table gather over coordinate groups.
+
+    columns is a list of per-coordinate nu arrays (length n each).  The
+    returned function maps a theta batch (T,) to one (T, n) array of
+    log F(theta a_k^2; nu_k) per column, with one F-table call over the
+    distinct a_k^2 and the distinct nu values of all columns.
+    """
+    ua2, gidx = np.unique(spec.weights ** 2, return_inverse=True)
+    unus, nidx = np.unique(np.concatenate(columns), return_inverse=True)
+
+    def gather(th):
+        th = np.asarray(th, dtype=float)
+        ts = np.outer(th, ua2).reshape(-1)
+        tab = f_family_log_table(spec.p, ts, unus, cfg).reshape(
+            len(th), len(ua2), len(unus))
+        return [tab[:, gidx, idx] for idx in nidx.reshape(len(columns), -1)]
+
+    return gather
+
+
 def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
                            cfg: QuadConfig):
     """Shared theta-integral core of the weighted route.
@@ -197,24 +218,21 @@ def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
     Integrand at each theta: the leave-one-out coefficient sum over
     triples (v_k, u_k, w_k) = (F(th a_k^2; mu_k), a_k^2 F(.; mu_k+p-2),
     a_k^2 F(.; mu_k+2p-2)) with mu_k = lambda_k, coefficient order m,
-    times theta^(m/2-1).  Returns (log integral, rel err, nodes).
+    times theta^(m/2-1).  At m = 1 the order-0 coefficient never reads
+    u_k, so that column (whose nu can fall to -1 or below when p < 2) is
+    not requested.  Returns (log integral, rel err, nodes).
     """
     p, n = spec.p, spec.n
-    a2 = spec.weights ** 2
-    log_a2 = np.log(a2)
-    ua2, gidx = np.unique(a2, return_inverse=True)
-    nus_all = np.concatenate([lam, lam + (p - 2.0), lam + (2.0 * p - 2.0)])
-    unus, nidx = np.unique(nus_all, return_inverse=True)
-    iv, iu, iw = nidx[:n], nidx[n:2 * n], nidx[2 * n:]
+    log_a2 = np.log(spec.weights ** 2)
+    nus = [lam, lam + (2.0 * p - 2.0)]
+    if m > 1:
+        nus.append(lam + (p - 2.0))
+    gather = _coordinate_log_f(spec, nus, cfg)
 
     def log_smooth(th):
-        th = np.asarray(th, dtype=float)
-        ts = np.outer(th, ua2).reshape(-1)
-        tab = f_family_log_table(p, ts, unus, cfg).reshape(
-            len(th), len(ua2), len(unus))
-        logv = tab[:, gidx, iv]
-        logu = log_a2[None, :] + tab[:, gidx, iu]
-        logw = log_a2[None, :] + tab[:, gidx, iw]
+        cols = gather(th)
+        logv, logw = cols[0], log_a2 + cols[1]
+        logu = log_a2 + cols[2] if m > 1 else logv
         return batched_loo_log(logv, logu, logw, m)
 
     s_tail = (float(lam.sum()) + (n - m) + p) / (2.0 * p - 2.0)
@@ -268,105 +286,15 @@ def surface_moment(spec: PBallSpec, lambdas: Sequence[float] = (),
                    cfg: QuadConfig = None) -> float:
     """Surface-measure moment int_boundary prod |x_k|^lambda_k dS.
 
-    The formula integrates (G(0) - G(theta)) / theta^(3/2) with
-    G(theta) = prod_k F(theta a_k^2; lambda_k); the difference is formed
-    stably, with a midpoint-derivative branch for very small theta.
+    Surface measure is twice the top curvature measure, so this is
+    2 * mixed_moment(spec, MomentRequest(1, lambdas)): with G(theta) =
+    prod_k F(theta a_k^2; lambda_k), integration by parts turns the
+    surface integral of (G(0) - G(theta)) theta^(-3/2) into
+    2 int theta^(-1/2) (-G'(theta)), and -G' is the m = 1 leave-one-out
+    sum of the weighted route, under the same prefactor.
     """
-    cfg = _cfg(cfg)
-    p, n = spec.p, spec.n
-    req = MomentRequest(1, lambdas)
-    req.validate(spec)
-    lam = req.padded(n)
-    total = float(lam.sum())
-    a2 = spec.weights ** 2
-    ua2, gidx = np.unique(a2, return_inverse=True)
-    ulam, lidx = np.unique(lam, return_inverse=True)
-    # log G(0) and the derivative components for the small-theta branch
-    tab0 = f_family_log_table(p, [0.0], ulam, cfg)[0]
-    log_g0 = float(tab0[lidx].sum())
-    dlam = lam + (2.0 * p - 2.0)
-    udlam, dlidx = np.unique(np.concatenate([lam, dlam]), return_inverse=True)
-
-    def log_diff(th):
-        """log of (G(0) - G(theta)) per theta node, stable for small theta.
-
-        The branch point balances cancellation in the direct difference
-        (relative error ~ eps/theta) against the midpoint-derivative
-        series (relative error ~ theta^2/24); they cross near 2e-5.
-        """
-        th = np.asarray(th, dtype=float)
-        out = np.empty(len(th))
-        tiny = th < 2e-5
-        if tiny.any():
-            # G(0) - G(th) = th * (-G'(xi)); evaluate -G' at th/2, the
-            # midpoint-rule value, with -G' = G * sum_k a_k^2 F(.; lam_k +
-            # 2p-2) / F(.; lam_k)
-            thm = 0.5 * th[tiny]
-            ts = np.outer(thm, ua2).reshape(-1)
-            tab = f_family_log_table(p, ts, udlam, cfg).reshape(
-                len(thm), len(ua2), len(udlam))
-            logf = tab[:, gidx, dlidx[:n]]
-            logfd = tab[:, gidx, dlidx[n:]]
-            log_gm = logf.sum(axis=1)
-            log_rate = np.log(
-                (a2[None, :] * np.exp(logfd - logf)).sum(axis=1))
-            out[tiny] = np.log(th[tiny]) + log_gm + log_rate
-        big = ~tiny
-        if big.any():
-            ts = np.outer(th[big], ua2).reshape(-1)
-            tab = f_family_log_table(p, ts, ulam, cfg).reshape(
-                len(th[big]), len(ua2), len(ulam))
-            log_g = tab[:, gidx, lidx].sum(axis=1)
-            out[big] = np.array(
-                [log_sub(log_g0, lg) for lg in log_g])
-        return out
-
-    # tail: G(0) - G(th) -> G(0), so the integrand decays like
-    # G(0) * th^(-3/2) minus the G tail; model both pieces
-    rel = cfg.rel_tol
-    u_hi = max(float(cfg.theta_truncation_factor), 1.0)
-
-    def logg(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            powpart = -2.0 * np.log(x)
-        return math.log(2.0) + powpart + log_diff(x * x)
-
-    log_val, log_err, ni = quad_gk_log(
-        logg, 0.0, math.sqrt(u_hi), rel_tol=rel,
-        max_subdivisions=cfg.max_subdivisions)
-    nodes = 15 * ni
-    # analytic remainder of int_U^inf (G(0) - G(th)) th^(-3/2):
-    #   2 G(0) U^(-1/2) - int_U^inf G(th) th^(-3/2)
-    # the second piece decays like th^(-3/2 - sG), sG = sum (lam+1)/(2p-2)
-    s_g = float((lam + 1.0).sum()) / (2.0 * p - 2.0)
-    for _ in range(240):
-        log_head = log_g0 + math.log(2.0) - 0.5 * math.log(u_hi)
-        ts = ua2 * u_hi
-        tab = f_family_log_table(p, ts, ulam, cfg)
-        log_g_edge = float(tab[gidx, lidx].sum())
-        log_g_tail = (log_g_edge - 1.5 * math.log(u_hi)
-                      + math.log(u_hi / (0.5 + s_g)))
-        if log_g_tail <= log_head + math.log(rel):
-            # the G contribution beyond u_hi is negligible against the
-            # closed-form head; add the head and the bound on the G piece
-            total_log = log_add(log_val, log_head)
-            log_err = log_add(log_err, log_g_tail)
-            break
-        seg_val, seg_err, ni = quad_gk_log(
-            logg, math.sqrt(u_hi), math.sqrt(2.0 * u_hi), rel_tol=rel,
-            max_subdivisions=cfg.max_subdivisions,
-            log_floor=log_val + math.log(rel / 4.0))
-        nodes += 15 * ni
-        log_val = log_add(log_val, seg_val)
-        log_err = log_add(log_err, seg_err)
-        u_hi *= 2.0
-    else:
-        raise OverflowGuard("surface moment tail failed to close")
-    log_pre = (math.log(p) - math.log(2.0) - 0.5 * math.log(math.pi)
-               - math.lgamma((n + total + p - 1) / p)
-               - float(((lam + 1.0) * np.log(spec.weights)).sum()))
-    return math.exp(log_pre + total_log)
+    log_val, _, _ = _moment_log(spec, MomentRequest(1, lambdas), _cfg(cfg))
+    return 2.0 * math.exp(log_val)
 
 
 def key_integral(spec: PBallSpec, alpha: float,
@@ -396,19 +324,9 @@ def key_integral(spec: PBallSpec, alpha: float,
             f"alpha={alpha} outside the convergence strip "
             f"(0, {float((al + 1.0).sum()) / (p - 1.0)})")
     mu = (n + float(al.sum()) - alpha * (p - 1.0)) / p
-    a2 = spec.weights ** 2
-    ua2, gidx = np.unique(a2, return_inverse=True)
-    ual, aidx = np.unique(al, return_inverse=True)
-
-    def log_smooth(th):
-        th = np.asarray(th, dtype=float)
-        ts = np.outer(th, ua2).reshape(-1)
-        tab = f_family_log_table(p, ts, ual, cfg).reshape(
-            len(th), len(ua2), len(ual))
-        return tab[:, gidx, aidx].sum(axis=1)
-
-    log_int, _, _ = log_theta_integral(0.5 * alpha - 1.0, log_smooth,
-                                       s_tail, cfg)
+    gather = _coordinate_log_f(spec, [al], cfg)
+    log_int, _, _ = log_theta_integral(
+        0.5 * alpha - 1.0, lambda th: gather(th)[0].sum(axis=1), s_tail, cfg)
     log_pre = (math.log(p) - math.lgamma(mu) - math.lgamma(0.5 * alpha)
                - float(((al + 1.0) * np.log(spec.weights)).sum()))
     return math.exp(log_pre + log_int)

@@ -86,3 +86,16 @@ HALF_PERIMETER_NEAR_ONE = {
     1.005: 2.828456018421341796,
     1.003: 2.8284375531314036676,
 }
+
+# Surface moments int_boundary prod |x_k|^lambda_k dS of weighted p-balls
+# in R^3, keyed (p, weights, lambdas).  scipy dblquad over one octant of
+# S^2, times 8, of the radial surface element dS = |grad g(w)| g(w)^(-3)
+# d sigma(w) with g(x) = (sum |a_i x_i|^p)^(1/p), the moment weight taken
+# at the boundary point x = w / g(w); epsabs 1e-13, epsrel 1e-12 (the
+# lambda_1 = -0.5 case reports an error estimate of 1.9e-9).
+SURFACE_MOMENT_DBLQUAD = {
+    (1.5, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)): 10.11751444300269,
+    (3.0, (1.0, 0.5, 2.0), (0.0, 0.0, 0.0)): 19.35116620111168,
+    (2.5, (1.0, 1.4, 0.9), (2.0, 0.0, 0.0)): 4.608538974382685,
+    (1.2, (1.0, 1.0, 1.0), (-0.5, 0.3, 0.0)): 14.541883780307465,
+}

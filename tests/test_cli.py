@@ -176,6 +176,16 @@ class TestAsymptoticCommand:
         # the raw-surface law is already within a percent here
         assert all(abs(r - 1.0) <= 0.02 for r in ratios)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
+        # at p = 2 the exact column is the sphere area 2 pi^(n/2)/Gamma(n/2),
+        # and each row's error estimate is a real one that bounds it
+        for n, log10_exact, _, _, err in doc["rows"]:
+            ln10 = math.log(10.0)
+            ref = (math.log(2.0) + 0.5 * n * math.log(math.pi)
+                   - math.lgamma(0.5 * n)) / ln10
+            assert log10_exact == pytest.approx(ref, abs=1e-10 / ln10)
+            actual = abs(math.expm1((log10_exact - ref) * ln10))
+            assert 0.0 < err < 1e-9
+            assert err >= actual
 
     def test_left_regime_round_ball(self, capsys):
         rc, out, _ = run(capsys, [

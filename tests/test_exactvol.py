@@ -16,7 +16,7 @@ from lpvol.exactvol import (MomentRequest, PBallSpec, intrinsic_volume,
 from lpvol.oracles import ball_vj, crosspolytope_vj, cube_vj
 from lpvol.specfun import f_family, kappa
 
-from .reference import pball_volume
+from .reference import SURFACE_MOMENT_DBLQUAD, pball_volume
 
 
 class TestSpecValidation:
@@ -157,6 +157,14 @@ class TestMixedMoments:
                 ref = intrinsic_volume(spec, n - m, cfg).value.value / n
                 assert mom == pytest.approx(ref, rel=1e-9)
 
+    def test_codim_one_accepts_exponents_below_one_minus_p(self, cfg):
+        # lambda_1 = -0.5 <= 1 - p: valid at m = 1, where the order-0
+        # coefficient needs no F(.; lambda + p - 2) column
+        spec = PBallSpec.unit(1.2, 3)
+        mom = mixed_moment(spec, MomentRequest(1, (-0.5, 0.3)), cfg)
+        ref = SURFACE_MOMENT_DBLQUAD[(1.2, (1.0, 1.0, 1.0), (-0.5, 0.3, 0.0))]
+        assert mom == pytest.approx(0.5 * ref, rel=1e-9)
+
     def test_log_route_agrees(self, cfg):
         spec = PBallSpec(p=1.6, weights=(1.0, 2.0))
         req = MomentRequest(1, (0.5, 1.5))
@@ -183,12 +191,12 @@ class TestSurfaceMoments:
         assert got == pytest.approx(4.0 * float(ellipe(0.75)), rel=1e-9)
         assert got == pytest.approx(4.8442241, rel=1e-7)
 
-    def test_half_surface_is_top_curvature_measure(self, cfg):
-        for spec in (PBallSpec.unit(1.5, 3),
-                     PBallSpec(p=3.0, weights=(1.0, 0.5, 2.0))):
-            s = surface_moment(spec, (), cfg)
-            m = mixed_moment(spec, MomentRequest(1, ()), cfg)
-            assert s == pytest.approx(2.0 * m, rel=1e-9)
+    @pytest.mark.parametrize("key", sorted(SURFACE_MOMENT_DBLQUAD),
+                             ids=lambda key: f"p={key[0]}")
+    def test_against_dblquad_reference(self, cfg, key):
+        p, weights, lambdas = key
+        got = surface_moment(PBallSpec(p=p, weights=weights), lambdas, cfg)
+        assert got == pytest.approx(SURFACE_MOMENT_DBLQUAD[key], rel=1e-9)
 
     def test_moment_weights(self, cfg):
         # int_(S^2) x_1^2 dS = (4/3) pi

@@ -212,6 +212,12 @@ class TestFiniteNMomentRatio:
         with pytest.raises(DomainError):
             finite_n_moment_ratio(2.0, 5, 5, (2.0,), loose_cfg)
 
+    def test_top_measure_accepts_exponent_below_one_minus_p(self):
+        # j = n - 1 is codimension 1, where any lambda > -1 converges,
+        # also lambda <= 1 - p
+        ratio = finite_n_moment_ratio(1.5, 10, 9, (-0.7,))
+        assert math.isfinite(ratio) and ratio > 0.0
+
 
 class TestConvergenceTables:
     def test_round_ball_gaps_vanish(self, loose_cfg):
