@@ -56,12 +56,10 @@ __all__ = ["RunManifest", "main"]
 
 SCHEMA_VERSION = 1
 
-# engineering bounds for the error columns of closed-form or
-# solver-backed values (documented here, not re-estimated per call):
-# profile/curvature solvers iterate to machine precision, table limits
-# combine two quadratures at cfg.rel_tol each
+# engineering bound for the error columns of solver-backed values
+# (documented here, not re-estimated per call): profile/curvature
+# solvers iterate to machine precision
 _SOLVER_ERR = 1e-12
-_TABLE_ERR_FACTOR = 10.0
 
 
 def _tool_version() -> str:
@@ -397,10 +395,7 @@ def cmd_maxwell(args) -> int:
         if args.m is None:
             raise DomainError("right regime needs --m")
         kw["m"] = params["m"] = args.m
-    table = convergence_table(args.p, args.regime, lambdas, ns, cfg=cfg,
-                              **kw)
-    err = cfg.rel_tol * _TABLE_ERR_FACTOR
-    rows = [(r.n, r.scaled_moment, r.limit, r.rel_gap, err) for r in table]
+    rows = convergence_table(args.p, args.regime, lambdas, ns, cfg=cfg, **kw)
     _emit(args, _manifest("maxwell", params, cfg),
           ["n", "scaled_moment", "limit", "rel_gap", "est_rel_error"], rows)
     return 0

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, OverflowGuard
 
@@ -43,13 +42,28 @@ def log_sub(a: float, b: float) -> float:
 
 
 def logsumexp_arr(values, axis=None):
-    """logsumexp that tolerates all -inf slices (returns -inf there)."""
+    """logsumexp that tolerates all -inf slices (returns -inf there).
+
+    The arithmetic is scipy.special.logsumexp's for real input, so the
+    results are the same bits: the terms tied with the maximum are counted
+    apart, log(sum) = log1p(rest / ties) + log(ties) + max, where rest sums
+    exp(a - max) over the other terms.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return LOG_ZERO if axis is None else np.full(
             np.delete(arr.shape, axis), LOG_ZERO)
-    with np.errstate(divide="ignore"):
-        return logsumexp(arr, axis=axis)
+    axes = tuple(range(arr.ndim)) if axis is None else axis
+    a_max = np.max(arr, axis=axes, keepdims=True)
+    is_max = arr == a_max
+    ties = np.sum(is_max, axis=axes, keepdims=True, dtype=float)
+    # an all -inf slice is all ties, so rest = 0 and the sum is -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.sum(np.where(is_max, 0.0, np.exp(arr - a_max)),
+                      axis=axes, keepdims=True)
+        out = np.log1p(rest / ties) + np.log(ties) + a_max
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

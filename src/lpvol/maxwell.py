@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureFailure
-from .exactvol import (MomentRequest, PBallSpec, intrinsic_volume,
-                       mixed_moment_log)
+from .exactvol import (MomentRequest, PBallSpec, _moment_log,
+                       intrinsic_volume)
 from .rng import standard_exponential, stream
-from .specfun import QuadConfig, as_exponent, f_family_log_table, log_gamma
+from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
+                      log_gamma)
 from .asymptotics import PhasePoint, phase_maximizer
 
 __all__ = [
@@ -59,6 +59,11 @@ def lambda0(p) -> float:
 
 
 def _half_line(f: Callable[[float], float]) -> float:
+    # imported here, not at module level: scipy.integrate pulls in
+    # scipy.optimize and scipy.sparse.linalg, the slowest part of a CLI
+    # start-up, and only the limit-law normalisation needs it
+    from scipy.integrate import quad
+
     val, err = quad(f, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
     if not math.isfinite(val):
         raise QuadratureFailure("normalization integral diverged")
@@ -185,6 +190,26 @@ def limit_moment(law: LimitLaw, lam: float) -> float:
             + (1.0 - law.alpha) * math.exp(float(tab[1]) - law.log_j))
 
 
+def _moment_ratio_log(p, n: int, j: int, lambdas: Sequence[float],
+                      cfg: QuadConfig, scaled: bool):
+    """(log of finite_n_moment_ratio, its estimated relative error).
+
+    The error is the sum of the two quadratures' relative error
+    estimates: the moment's and that of V_j.
+    """
+    spec = PBallSpec.unit(p, int(n))
+    j = int(j)
+    if not 0 <= j <= spec.n - 1:
+        raise DomainError(f"face index j={j} outside 0..{spec.n - 1}")
+    req = MomentRequest(spec.n - j, lambdas)
+    log_num, num_err, _ = _moment_log(spec, req, _cfg(cfg))
+    den = intrinsic_volume(spec, j, cfg)
+    log_ratio = log_num - den.value.log_abs
+    if scaled:
+        log_ratio += sum(float(v) for v in lambdas) / spec.p * math.log(spec.n)
+    return log_ratio, num_err + den.est_rel_error
+
+
 def finite_n_moment_ratio(p, n: int, j: int, lambdas: Sequence[float],
                           cfg: QuadConfig = None, *,
                           scaled: bool = False) -> float:
@@ -193,17 +218,7 @@ def finite_n_moment_ratio(p, n: int, j: int, lambdas: Sequence[float],
     measure.  With scaled=True the value is premultiplied by
     n^(sum(lambdas)/p), the scaling under which it converges.
     """
-    spec = PBallSpec.unit(p, int(n))
-    j = int(j)
-    if not 0 <= j <= spec.n - 1:
-        raise DomainError(f"face index j={j} outside 0..{spec.n - 1}")
-    req = MomentRequest(spec.n - j, lambdas)
-    num = mixed_moment_log(spec, req, cfg)
-    den = intrinsic_volume(spec, j, cfg)
-    log_ratio = num.log_abs - den.value.log_abs
-    if scaled:
-        log_ratio += sum(float(v) for v in lambdas) / spec.p * math.log(spec.n)
-    return math.exp(log_ratio)
+    return math.exp(_moment_ratio_log(p, n, j, lambdas, cfg, scaled)[0])
 
 
 class ConvergenceRow(NamedTuple):
@@ -211,6 +226,7 @@ class ConvergenceRow(NamedTuple):
     scaled_moment: float
     limit: float
     rel_gap: float
+    est_rel_error: float
 
 
 def convergence_table(p, regime: str, lambdas: Sequence[float],
@@ -250,9 +266,10 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
             jn = int(j)
         else:
             jn = n - int(m)
-        val = finite_n_moment_ratio(p, n, jn, lambdas, cfg, scaled=True)
+        log_val, err = _moment_ratio_log(p, n, jn, lambdas, cfg, True)
+        val = math.exp(log_val)
         rows.append(ConvergenceRow(n, val, limit,
-                                   abs(val - limit) / abs(limit)))
+                                   abs(val - limit) / abs(limit), err))
     return rows
 
 

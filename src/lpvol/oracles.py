@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf
 
 from .errors import ConvergenceFailure, DomainError
@@ -125,14 +124,16 @@ def crosspolytope_vj(n: int, j: int, cfg: QuadConfig = None,
         if weights is not None:
             log_v -= float(np.log(a).sum())
         return math.exp(log_v)
+    from scipy.integrate import quad  # deferred: slow import, oracle only
+
     if weights is None:
         s = math.sqrt(j + 1.0)
 
         def integrand(x):
             return _phi(s * x) * erf(x / _SQRT2) ** (n - j - 1)
 
-        val, _ = integrate.quad(integrand, 0.0, np.inf,
-                                epsabs=1e-13, epsrel=rel, limit=200)
+        val, _ = quad(integrand, 0.0, np.inf,
+                      epsabs=1e-13, epsrel=rel, limit=200)
         return (2.0 ** (j + 1) * math.comb(n, j + 1)
                 * (j + 1) / math.factorial(j) * val)
     total = 0.0
@@ -146,8 +147,8 @@ def crosspolytope_vj(n: int, j: int, cfg: QuadConfig = None,
         def integrand(x, s=s, rest=rest):
             return _phi(s * x) * float(np.prod(erf(rest * x / _SQRT2)))
 
-        val, _ = integrate.quad(integrand, 0.0, np.inf,
-                                epsabs=1e-13, epsrel=rel, limit=200)
+        val, _ = quad(integrand, 0.0, np.inf,
+                      epsabs=1e-13, epsrel=rel, limit=200)
         total += s2 / float(np.prod(a[mask])) * val
     return 2.0 ** (j + 1) / math.factorial(j) * total
 
@@ -178,6 +179,8 @@ def ellipsoid_vj(semiaxes: Sequence[float], j: int, cfg: QuadConfig = None,
     hi = n - 1 if form == "A" else n
     if not (isinstance(j, (int, np.integer)) and lo <= j <= hi):
         raise DomainError(f"form {form} covers j in {lo}..{hi}, got {j!r}")
+    from scipy.integrate import quad  # deferred: slow import, oracle only
+
     rel = _quad_rel(cfg)
     b2 = b * b
     power = j + 1 if form == "A" else j - 1
@@ -191,8 +194,8 @@ def ellipsoid_vj(semiaxes: Sequence[float], j: int, cfg: QuadConfig = None,
             return t ** power / ((1.0 + bi2 * t * t)
                                  * math.sqrt(float(np.prod(q))))
 
-        val, _ = integrate.quad(integrand, 0.0, np.inf,
-                                epsabs=1e-13, epsrel=rel, limit=200)
+        val, _ = quad(integrand, 0.0, np.inf,
+                      epsabs=1e-13, epsrel=rel, limit=200)
         total += float(b2[i]) * sig * val
     return kappa(j) * total
 

@@ -17,9 +17,15 @@ bounded-kernel integral, so t up to 1e20 stays in range for p from 1.001
 to 64.  Exponents nu in (-1, 0) hit an integrable endpoint singularity
 which is removed by the substitution w = u^(nu+1) on [0, split]; there
 u^e is formed as exp(e log(w) / (nu+1)), since u itself underflows for nu
-near -1.  Truncation points come from upper-incomplete-gamma tail bounds.
-Many components (several t rows times several nu columns) are integrated
-on one shared adaptive grid.
+near -1.  Many components (several t rows times several nu columns) are
+integrated on one shared adaptive grid.
+
+Truncation points come from upper-incomplete-gamma tail bounds.  The rows
+share one upper limit, the largest of their cutoffs.  The tail
+integral_u^inf x^nu exp(-c x^e) dx falls as the row coefficient c grows,
+for every u, and the cutoff search is monotone in c as well, so that
+largest cutoff is the one of the smallest coefficient: one search per nu
+column serves every row.
 
 Near p = 1 the rescaled z^p coefficient t^(-p/(2p-2)) is tiny (it
 underflows a double at p = 1.001, t = 10), so the mass of the z integral
@@ -152,8 +158,11 @@ def _tail_cutoff(c, e, nu, log_target):
     integral_u^inf x^nu exp(-c x^e) dx <= exp(log_target).
 
     Uses the upper incomplete gamma: the tail equals
-    c^(-s)/e * Gamma(s) * Q(s, c u^e) with s = (nu+1)/e.
-    Returns None when c is too small to give a useful bound.
+    c^(-s)/e * Gamma(s) * Q(s, c u^e) with s = (nu+1)/e.  The u found
+    is on a geometric grid, so it can overshoot, but it never increases
+    with c: the target q rises and -log c falls as c grows.  Returns
+    None when c is too small to give a useful bound, and -inf (u = 0)
+    when the whole integral is already below the target.
     """
     if not c > 1e-280:
         return None
@@ -161,7 +170,7 @@ def _tail_cutoff(c, e, nu, log_target):
     log_pref = -s * math.log(c) - math.log(e) + math.lgamma(s)
     log_q = log_target - log_pref
     if log_q >= 0.0:
-        return 0.0
+        return -math.inf
     q = math.exp(max(log_q, -700.0))
     x = max(s, 1.0)
     for _ in range(600):
@@ -170,6 +179,27 @@ def _tail_cutoff(c, e, nu, log_target):
             return (math.log(x) - math.log(c)) / e
         x *= 1.5
     raise QuadratureFailure("tail cutoff search did not terminate")
+
+
+def _log_upper_limit(cs, e_c, e_1, nus, cfg):
+    """log of the upper limit shared by every row and column of a core
+    table, at least log 1: per (row, nu) the tail of exp(-c u^e_c -
+    u^e_1) is bounded by the smaller of the two factors' cutoffs, and the
+    worst row sets the limit.
+    """
+    log_target = math.log(cfg.abs_tol) - math.log(10.0)
+    c_min = cs.min()
+    log_hi = 0.0
+    for nu in nus:
+        cut_1 = _tail_cutoff(1.0, e_1, nu, log_target)
+        # the worst row has the smallest c: the tail integral_u^inf x^nu
+        # exp(-c x^e) dx falls as c grows, for every u, and _tail_cutoff
+        # never rises with c, so this one search gives the maximum over
+        # rows of min(cut_c, cut_1)
+        cut_c = _tail_cutoff(c_min, e_c, nu, log_target)
+        cut = cut_1 if cut_c is None else min(cut_c, cut_1)
+        log_hi = max(log_hi, cut)
+    return log_hi
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +283,7 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     nus = np.asarray(nus, dtype=float)
     k, m = len(cs), len(nus)
     split = cfg.singularity_split
-    # conservative shared upper limit: worst row, best available factor
-    log_target = math.log(cfg.abs_tol) - math.log(10.0)
-    log_hi = 0.0
-    for nu in nus:
-        cut_1 = _tail_cutoff(1.0, e_1, nu, log_target)
-        for c in cs:
-            cut_c = _tail_cutoff(c, e_c, nu, log_target)
-            cut = cut_1 if cut_c is None else min(cut_c, cut_1)
-            log_hi = max(log_hi, cut)
+    log_hi = _log_upper_limit(cs, e_c, e_1, nus, cfg)
 
     def kernel(u):
         expo = -(np.outer(cs, u ** e_c) + u ** e_1)

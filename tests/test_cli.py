@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line front end, run in process.
 
 Focus areas: correctness of the emitted tables against closed forms,
-byte determinism across reruns, the documented output schema, and the
-exit-code contract.
+byte determinism across reruns, the documented output schema, the
+exit-code contract, and what a fresh process imports at start-up.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,13 @@ class TestMaxwellCommand:
         for (n, gap) in zip((20, 50, 100), gaps):
             assert gap == pytest.approx(2.0 / (n + 2.0), rel=1e-8)
         assert gaps[0] > gaps[1] > gaps[2]
+        # est_rel_error is each row's own quadrature estimate, and it
+        # bounds the error against n^2 E X_1^4 = 3n/(n+2) on the sphere
+        for n, moment, _, _, err in doc["rows"]:
+            actual = abs(moment / (3.0 * n / (n + 2.0)) - 1.0)
+            assert 0.0 < err <= 1e-6
+            assert err >= actual
+        assert len({row[4] for row in doc["rows"]}) == 3
 
     def test_round_ball_second_moment_exact(self, capsys):
         rc, out, _ = run(capsys, [
@@ -292,6 +303,21 @@ class TestMaxwellCommand:
         ])
         assert rc == 2
         assert "--j" in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate (with scipy.optimize and scipy.sparse.linalg)
+        # is the slowest import of a CLI start-up; only the limit-law
+        # normalisation and two oracles need it, and they import it when
+        # they run
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import lpvol.cli, sys; print('scipy.integrate' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestValidateCommand:

@@ -251,6 +251,28 @@ class TestConvergenceTables:
         assert all(b < a + 1e-9 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.1
 
+    @pytest.mark.parametrize("regime, kw", [
+        ("right", {"m": 1}), ("left", {"j": 1}), ("bulk", {"alpha": 0.5}),
+    ])
+    def test_est_rel_error_bounds_round_ball_error(self, regime, kw):
+        # at p = 2 every normalized curvature measure is uniform on the
+        # sphere: E|X_1|^lam = G(n/2) G((lam+1)/2) / (sqrt(pi) G((n+lam)/2)),
+        # times n^(lam/2) when scaled
+        for lam in (2.0, 3.0):
+            rows = convergence_table(2.0, regime, [lam], [10, 30, 64], **kw)
+            for row in rows:
+                n = row.n
+                log_exact = (math.lgamma(n / 2.0)
+                             + math.lgamma((lam + 1.0) / 2.0)
+                             - 0.5 * math.log(math.pi)
+                             - math.lgamma((n + lam) / 2.0)
+                             + 0.5 * lam * math.log(n))
+                actual = abs(row.scaled_moment / math.exp(log_exact) - 1.0)
+                assert 0.0 < row.est_rel_error <= 1e-6
+                assert row.est_rel_error >= actual, (regime, lam, n)
+            # each row reports its own estimate, not a placeholder
+            assert len({row.est_rel_error for row in rows}) == len(rows)
+
     def test_validation(self, loose_cfg):
         with pytest.raises(DomainError):
             convergence_table(2.0, "bulk", [2.0], [10], cfg=loose_cfg)

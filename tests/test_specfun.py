@@ -7,7 +7,8 @@ import pytest
 
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, intrinsic_volume
-from lpvol.specfun import (IJKL, PExponent, QuadConfig, as_exponent,
+from lpvol.specfun import (DEFAULT_CONFIG, IJKL, PExponent, QuadConfig,
+                           _log_upper_limit, _tail_cutoff, as_exponent,
                            f_family, f_family_at_zero, f_family_large_t,
                            f_family_log, f_family_log_table, ijkl, kappa,
                            log_choose, log_gamma, log_kappa)
@@ -152,6 +153,64 @@ class TestNearOne:
     def test_v1_is_half_the_perimeter(self, p, cfg):
         got = intrinsic_volume(PBallSpec.unit(p, 2), 1, cfg).value.value
         assert got == pytest.approx(HALF_PERIMETER_NEAR_ONE[p], rel=1e-10)
+
+
+def _double_loop_log_upper_limit(cs, e_c, e_1, nus, cfg):
+    """The shared upper limit as one cutoff search per (row, nu)."""
+    log_target = math.log(cfg.abs_tol) - math.log(10.0)
+    log_hi = 0.0
+    for nu in nus:
+        cut_1 = _tail_cutoff(1.0, e_1, nu, log_target)
+        for c in cs:
+            cut_c = _tail_cutoff(c, e_c, nu, log_target)
+            cut = cut_1 if cut_c is None else min(cut_c, cut_1)
+            log_hi = max(log_hi, cut)
+    return log_hi
+
+
+class TestTailCutoff:
+    """The core table searches one cutoff per nu, at the smallest row
+    coefficient; that is only the worst row if the cutoff never rises
+    with the coefficient."""
+
+    @pytest.mark.parametrize("p", [1.001, 1.005, 1.5, 3.0, 64.0])
+    def test_nonincreasing_in_coefficient(self, p):
+        log_target = math.log(DEFAULT_CONFIG.abs_tol) - math.log(10.0)
+        cs = np.concatenate([[0.0], np.logspace(-300, 3, 607)])
+        for nu in (-0.999, -0.5, 0.0, p - 2.0, 2.0 * p - 2.0, 40.0):
+            # both exponents a row coefficient multiplies: u^(2p-2) for
+            # t < 1 and z^p for t >= 1
+            for e in (2.0 * p - 2.0, p):
+                prev = math.inf
+                for c in cs:
+                    cut = _tail_cutoff(c, e, nu, log_target)
+                    if cut is None:
+                        assert c <= 1e-280
+                        continue
+                    assert cut <= prev, (p, nu, e, c)
+                    prev = cut
+
+    def test_one_search_matches_double_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            p = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(63.0))
+            ts = 10.0 ** rng.uniform(-6.0, 20.0, size=rng.integers(1, 25))
+            ts[rng.random(ts.size) < 0.1] = 0.0
+            nus = rng.uniform(-0.999, 40.0, size=rng.integers(1, 5))
+            nus[rng.random(nus.size) < 0.3] = p - 2.0
+            e2 = 2.0 * p - 2.0
+            small = ts[ts < 1.0]
+            big = ts[ts >= 1.0]
+            # the coefficients and exponents f_family_log_table passes
+            tables = []
+            if small.size:
+                tables.append((small, e2, p))
+            if big.size:
+                tables.append((np.exp((-p / e2) * np.log(big)), p, e2))
+            for cs, e_c, e_1 in tables:
+                assert (_log_upper_limit(cs, e_c, e_1, nus, DEFAULT_CONFIG)
+                        == _double_loop_log_upper_limit(
+                            cs, e_c, e_1, nus, DEFAULT_CONFIG))
 
 
 class TestGammaHelpers:
