@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, log_ndtr
 
 from .errors import ConvergenceFailure, DomainError
 from .logspace import LogValue
@@ -374,14 +373,19 @@ def _sup_crosspolytope(alpha: float) -> float:
     def rate(t):
         # 2 phi(t) / (2 Phi(t) - 1), the log-derivative of the second term
         return (2.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-                / erf(t / _SQRT2))
+                / math.erf(t / _SQRT2))
 
     return _golden_newton_max(
         lambda t: (-0.5 * alpha * t * t
-                   + (1.0 - alpha) * math.log(erf(t / _SQRT2))),
+                   + (1.0 - alpha) * math.log(math.erf(t / _SQRT2))),
         lambda t: -alpha * t + (1.0 - alpha) * rate(t),
         lambda t: -alpha - (1.0 - alpha) * rate(t) * (t + rate(t)),
         1e-8, 10.0)
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x) for x >= 0, where Phi(x) >= 1/2 keeps log1p accurate."""
+    return math.log1p(-0.5 * math.erfc(x / _SQRT2))
 
 
 def _sup_simplex(alpha: float) -> float:
@@ -394,10 +398,10 @@ def _sup_simplex(alpha: float) -> float:
     def rate(x):
         # phi(x) / Phi(x), the log-derivative of log Phi
         return math.exp(-0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
-                        - log_ndtr(x))
+                        - _log_ndtr(x))
 
     return _golden_newton_max(
-        lambda x: -0.5 * alpha * x * x + (1.0 - alpha) * float(log_ndtr(x)),
+        lambda x: -0.5 * alpha * x * x + (1.0 - alpha) * _log_ndtr(x),
         lambda x: -alpha * x + (1.0 - alpha) * rate(x),
         lambda x: -alpha - (1.0 - alpha) * rate(x) * (x + rate(x)),
         0.0, 10.0)

@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import metadata
 
 import numpy as np
@@ -87,11 +87,8 @@ class RunManifest:
 
 def _manifest(command: str, parameters: dict, cfg: QuadConfig,
               seed=None) -> RunManifest:
-    config = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-              "max_subdivisions": cfg.max_subdivisions,
-              "theta_truncation_factor": cfg.theta_truncation_factor,
-              "singularity_split": cfg.singularity_split}
-    return RunManifest(command, parameters, config, seed, _tool_version())
+    return RunManifest(command, parameters, asdict(cfg), seed,
+                       _tool_version())
 
 
 # -- argument helpers ------------------------------------------------------
@@ -123,9 +120,9 @@ def _weights_arg(text: str) -> list:
 def _load_config(path) -> QuadConfig:
     if path is None:
         return DEFAULT_CONFIG
-    fields = {f: int if f == "max_subdivisions" else float
-              for f in ("rel_tol", "abs_tol", "max_subdivisions",
-                        "theta_truncation_factor", "singularity_split")}
+    # each key parses as the type of its default (int or float)
+    kinds = {f.name: type(getattr(DEFAULT_CONFIG, f.name))
+             for f in fields(QuadConfig)}
     overrides = {}
     try:
         lines = open(path).read().splitlines()
@@ -140,20 +137,14 @@ def _load_config(path) -> QuadConfig:
                               f"got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in fields:
+        if key not in kinds:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = fields[key](val)
+            overrides[key] = kinds[key](val)
         except ValueError:
             raise DomainError(f"{path}:{lineno}: bad value {val!r} "
                               f"for {key}")
-    return QuadConfig(**{**{
-        "rel_tol": DEFAULT_CONFIG.rel_tol,
-        "abs_tol": DEFAULT_CONFIG.abs_tol,
-        "max_subdivisions": DEFAULT_CONFIG.max_subdivisions,
-        "theta_truncation_factor": DEFAULT_CONFIG.theta_truncation_factor,
-        "singularity_split": DEFAULT_CONFIG.singularity_split,
-    }, **overrides})
+    return replace(DEFAULT_CONFIG, **overrides)
 
 
 def _pmap(fn, items):

@@ -1,11 +1,10 @@
-"""Sign/log-magnitude scalar arithmetic.
+"""Log-space sums and the sign/log-magnitude result type.
 
 Quantities in this package routinely have magnitudes like exp(+-1e4)
-(products of hundreds of special-function values), so exact values are
-carried as a sign and the log of the absolute value.  Multiplication,
-division and powers act on logs directly; addition uses the standard
-max-subtraction trick so that no intermediate exponential under- or
-overflows.
+(products of hundreds of special-function values), so results are
+carried as a sign and the log of the absolute value (LogValue), and
+sums of such terms use the standard max-subtraction trick (log_add,
+logsumexp_arr) so that no intermediate exponential under- or overflows.
 """
 
 from __future__ import annotations
@@ -28,17 +27,6 @@ def log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-def log_sub(a: float, b: float) -> float:
-    """log(e^a - e^b) for a >= b; returns -inf on exact cancellation."""
-    if b == LOG_ZERO:
-        return a
-    if b > a:
-        raise DomainError(f"log_sub needs a >= b, got a={a}, b={b}")
-    if a == b:
-        return LOG_ZERO
-    return a + math.log1p(-math.exp(b - a))
 
 
 def logsumexp_arr(values, axis=None):
@@ -71,9 +59,8 @@ class LogValue:
     """A real number stored as (sign, log|x|).
 
     sign is -1, 0 or +1; sign 0 pairs with log_abs = -inf and represents an
-    exact zero.  Arithmetic never leaves this representation, so products of
-    thousands of factors and sums of same-sign terms are exact up to float
-    rounding of the logs.
+    exact zero.  Values far outside the range of a double keep their log
+    exactly; value and log10 convert on demand.
     """
 
     sign: int
@@ -100,14 +87,6 @@ class LogValue:
         return cls(1, 0.0)
 
     @classmethod
-    def from_float(cls, x: float) -> "LogValue":
-        if math.isnan(x) or math.isinf(x):
-            raise DomainError(f"cannot capture non-finite float {x}")
-        if x == 0.0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
     def from_log(cls, log_abs: float, sign: int = 1) -> "LogValue":
         if log_abs == LOG_ZERO:
             return cls.zero()
@@ -128,93 +107,3 @@ class LogValue:
 
     def log10(self) -> float:
         return self.log_abs / math.log(10.0)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        s = self.sign * other.sign
-        if s == 0:
-            return LogValue.zero()
-        return LogValue(s, self.log_abs + other.log_abs)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.sign == 0:
-            raise ZeroDivisionError("LogValue division by zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign,
-                        self.log_abs - other.log_abs)
-
-    def __pow__(self, exponent: float):
-        if self.sign == 0:
-            if exponent <= 0:
-                raise DomainError("0 ** nonpositive exponent")
-            return LogValue.zero()
-        if self.sign < 0:
-            if exponent != int(exponent):
-                raise DomainError("negative base with non-integer exponent")
-            s = -1 if int(exponent) % 2 else 1
-            return LogValue(s, self.log_abs * exponent)
-        return LogValue(1, self.log_abs * exponent)
-
-    def __neg__(self):
-        return LogValue(-self.sign, self.log_abs)
-
-    def __abs__(self):
-        return LogValue(abs(self.sign), self.log_abs)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            return LogValue(self.sign, log_add(self.log_abs, other.log_abs))
-        # opposite signs: subtract the smaller magnitude from the larger
-        if self.log_abs == other.log_abs:
-            return LogValue.zero()
-        big, small = ((self, other) if self.log_abs > other.log_abs
-                      else (other, self))
-        return LogValue(big.sign, log_sub(big.log_abs, small.log_abs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    # -- ordering ----------------------------------------------------------
-
-    def _key(self):
-        return (self.sign, self.sign * self.log_abs
-                if self.sign != 0 else 0.0)
-
-    def __lt__(self, other):
-        return self._key() < _coerce(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= _coerce(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > _coerce(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= _coerce(other)._key()
-
-    def __repr__(self):
-        if self.sign == 0:
-            return "LogValue(0)"
-        s = "-" if self.sign < 0 else ""
-        return f"LogValue({s}exp({self.log_abs:.12g}))"
-
-
-def _coerce(x) -> LogValue:
-    if isinstance(x, LogValue):
-        return x
-    if isinstance(x, (int, float)):
-        return LogValue.from_float(float(x))
-    raise TypeError(f"cannot mix LogValue with {type(x).__name__}")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConvergenceFailure, DomainError
 from .exactvol import PBallSpec
@@ -124,7 +123,9 @@ def crosspolytope_vj(n: int, j: int, cfg: QuadConfig = None,
         if weights is not None:
             log_v -= float(np.log(a).sum())
         return math.exp(log_v)
-    from scipy.integrate import quad  # deferred: slow import, oracle only
+    # deferred: slow imports, oracle only
+    from scipy.integrate import quad
+    from scipy.special import erf
 
     if weights is None:
         s = math.sqrt(j + 1.0)

@@ -14,18 +14,24 @@ nu = 0, p-2, 2p-2, 3p-4.  Closed forms used throughout:
 Numerics: for t < 1 the integrand is evaluated directly; for t >= 1 the
 substitution u = t^(-1/(2p-2)) z turns the integral into t^(-s) times a
 bounded-kernel integral, so t up to 1e20 stays in range for p from 1.001
-to 64.  Exponents nu in (-1, 0) hit an integrable endpoint singularity
-which is removed by the substitution w = u^(nu+1) on [0, split]; there
-u^e is formed as exp(e log(w) / (nu+1)), since u itself underflows for nu
-near -1.  Many components (several t rows times several nu columns) are
-integrated on one shared adaptive grid.
+to 64.  Many components (several t rows times several nu columns) are
+integrated on one shared adaptive grid.  Both ends of the u-axis are
+handled by closed forms:
 
-Truncation points come from upper-incomplete-gamma tail bounds.  The rows
-share one upper limit, the largest of their cutoffs.  The tail
-integral_u^inf x^nu exp(-c x^e) dx falls as the row coefficient c grows,
-for every u, and the cutoff search is monotone in c as well, so that
-largest cutoff is the one of the smallest coefficient: one search per nu
-column serves every row.
+- Left end.  Exponents nu in (-1, 0) have an integrable singularity at
+  u = 0.  Every row coefficient is at most 1, so below
+  y0 = -61 log 2 / (smallest exponent) the kernel exp(-c u^e_c - u^e_1)
+  is 1 to double precision and the integral up to e^y0 is
+  e^((nu+1) y0)/(nu+1).  The rest of [0, split] is integrated in
+  y = log u, all nu < 0 columns on one grid, with u^e formed as
+  exp(e y), since u itself underflows near y0.
+- Right end.  The shared upper limit comes from the elementary bound
+  Gamma(s, x) <= x^(s-1) e^(-x) / (1 - max(s-1, 0)/x), x >= max(s, 1),
+  on the tail integral_u^inf x^nu exp(-c x^e) dx = c^(-s)/e Gamma(s, c u^e),
+  tested in log space.  That tail falls as the row coefficient c grows,
+  for every u, and the cutoff search is monotone in c as well, so the
+  largest cutoff over the rows is the one of the smallest coefficient:
+  one search per nu column serves every row.
 
 Near p = 1 the rescaled z^p coefficient t^(-p/(2p-2)) is tiny (it
 underflows a double at p = 1.001, t = 10), so the mass of the z integral
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import DomainError, QuadratureFailure
 from .quadrature import quad_gk
@@ -68,8 +73,8 @@ class QuadConfig:
     max_subdivisions: interval budget per adaptive call.
     theta_truncation_factor: initial upper limit for half-line theta
         integrals before octave doubling takes over.
-    singularity_split: where [0, inf) is cut so that the substituted
-        piece handles the u^nu endpoint singularity for nu < 0.
+    singularity_split: where [0, inf) is cut; for nu < 0 the piece below
+        it, with the u^nu endpoint singularity, is integrated in log u.
     """
 
     rel_tol: float = 1e-10
@@ -154,29 +159,38 @@ def kappa(m) -> float:
 # truncation bounds
 
 def _tail_cutoff(c, e, nu, log_target):
-    """log of the smallest u with
-    integral_u^inf x^nu exp(-c x^e) dx <= exp(log_target).
+    """log of a u with integral_u^inf x^nu exp(-c x^e) dx <= exp(log_target).
 
-    Uses the upper incomplete gamma: the tail equals
-    c^(-s)/e * Gamma(s) * Q(s, c u^e) with s = (nu+1)/e.  The u found
-    is on a geometric grid, so it can overshoot, but it never increases
-    with c: the target q rises and -log c falls as c grows.  Returns
+    With s = (nu+1)/e and x = c u^e the tail is c^(-s)/e * Gamma(s, x).
+    On [x, inf) with x >= max(s, 1), the integrand t^(s-1) e^(-t) of
+    Gamma(s, x) is below x^(s-1) e^(-t) when s <= 1; when s > 1 it is
+    log-concave and falling, so it lies below its tangent exponential at
+    x.  Integrating either gives the closed-form bound (DLMF 8.10.1-2)
+
+        Gamma(s, x) <= x^(s-1) e^(-x) / (1 - max(s-1, 0)/x).
+
+    The bound is tested in log space on the geometric grid
+    x = max(s, 1) * 1.5^k, and the first x that passes is returned as
+    log u = (log x - log c)/e.  The grid does not depend on c and the
+    bound falls as c grows, so the cutoff never rises with c.  Returns
     None when c is too small to give a useful bound, and -inf (u = 0)
-    when the whole integral is already below the target.
+    when the whole integral c^(-s) Gamma(s)/e is already below the target.
     """
     if not c > 1e-280:
         return None
     s = (nu + 1.0) / e
-    log_pref = -s * math.log(c) - math.log(e) + math.lgamma(s)
-    log_q = log_target - log_pref
-    if log_q >= 0.0:
+    log_c = math.log(c)
+    log_pref = -s * log_c - math.log(e)
+    if log_pref + math.lgamma(s) <= log_target:
         return -math.inf
-    q = math.exp(max(log_q, -700.0))
     x = max(s, 1.0)
     for _ in range(600):
-        if float(gammaincc(s, x)) <= q:
+        log_x = math.log(x)
+        log_tail = (log_pref + (s - 1.0) * log_x - x
+                    - math.log1p(-max(s - 1.0, 0.0) / x))
+        if log_tail <= log_target:
             # log space: x/c can overflow a double when c is tiny
-            return (math.log(x) - math.log(c)) / e
+            return (log_x - log_c) / e
         x *= 1.5
     raise QuadratureFailure("tail cutoff search did not terminate")
 
@@ -308,29 +322,33 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
         vals[:, sel] += gk(f, lo, hi).reshape(k, len(nus_sel))
 
     log_wide = None
-    y_lo = math.log(split)
-    if log_hi - y_lo <= _LOG_WIDE_SPAN:
+    y_split = math.log(split)
+    if log_hi - y_split <= _LOG_WIDE_SPAN:
         add_direct(np.arange(m), split, math.exp(min(log_hi, 700.0)))
     else:
-        log_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_lo, log_hi, gk)
+        log_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split, log_hi, gk)
     neg = nus < 0.0
     pos = ~neg
     if pos.any():
         add_direct(np.flatnonzero(pos), 0.0, split)
-    # nu in (-1, 0): substitute w = u^(nu+1) on [0, split], which maps the
-    # singular piece to integral_0^(split^(nu+1)) kernel(w^(1/(nu+1)))/(nu+1) dw
-    for col in np.flatnonzero(neg):
-        q = nus[col] + 1.0
+    if neg.any():
+        # nu in (-1, 0): integrate in y = log u on [y0, log split].  Every
+        # row has c <= 1, so below y0 the kernel is 1 to double precision
+        # and that part is e^((nu+1) y0)/(nu+1) in closed form.
+        q = nus[neg] + 1.0
+        y0 = min(y_split, -61.0 * _LOG2 / min(e_c, e_1))
 
-        def f_neg(w, q=q):
-            # u^e as exp(e log(w) / q): u = w^(1/q) itself underflows
-            # when nu is near -1
-            with np.errstate(divide="ignore"):
-                log_u = np.log(w) / q
-            return np.exp(-(np.exp(log_cs[:, None] + e_c * log_u)
-                            + np.exp(e_1 * log_u))) / q
+        def f_neg(y):
+            # u^e as exp(e y): u = e^y itself underflows below y = -745
+            ker = np.exp(-(np.exp(log_cs[:, None] + e_c * y)
+                           + np.exp(e_1 * y)))
+            pw = np.exp(np.outer(q, y))
+            return (ker[:, None, :] * pw[None, :, :]).reshape(k * len(q), -1)
 
-        vals[:, col] += gk(f_neg, 0.0, split ** q)
+        head = np.exp(q * y0) / q
+        if y0 < y_split:
+            head = head + gk(f_neg, y0, y_split).reshape(k, len(q))
+        vals[:, neg] += head
     with np.errstate(divide="ignore"):
         out = np.log(vals)
     if log_wide is not None:

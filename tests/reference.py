@@ -79,6 +79,54 @@ LOG_F_NEAR_ONE = {
     (1.003, 1e4, "p-2"): 1.7763377472506722,
 }
 
+
+# log F_p(t; nu) for nu near -1, keyed (p, t, nu).  Frozen from mpmath at
+# 30 digits in the variable y = log u: the integrand
+# exp((nu+1) y - e^(p y) - t e^((2p-2) y)) integrated by Gauss-Legendre
+# on 200 equal pieces of [y0, log(300)/min(p, 2p-2) + 1], where y0 puts
+# e^(p y) + t e^((2p-2) y) below 1e-40, plus the part below y0 in closed
+# form, e^((nu+1) y0)/(nu+1).  At t = 0 the same recipe gives
+# log((2/p) Gamma((nu+1)/p)) to 1e-30, and at p = 2 it gives
+# log(Gamma((nu+1)/2) (1+t)^(-(nu+1)/2)).
+LOG_F_NU_NEAR_MINUS_ONE = {
+    (1.5, 0.0, -0.999): 7.6005180145210493,
+    (1.5, 0.5, -0.999): 7.6001295336519016,
+    (1.5, 1000.0, -0.999): 7.5934182826236665,
+    (2.0, 0.0, -0.999): 7.6006140572763203,
+    (2.0, 0.5, -0.999): 7.6004113247222662,
+    (2.0, 1000.0, -0.999): 7.5971596798866626,
+    (3.0, 0.0, -0.999): 7.6007101456908367,
+    (3.0, 0.5, -0.999): 7.6006005222146798,
+    (3.0, 1000.0, -0.999): 7.5990295491607181,
+    (8.0, 0.0, -0.999): 7.6008303204342337,
+    (8.0, 0.5, -0.999): 7.6007949969630198,
+    (8.0, 1000.0, -0.999): 7.600365686102557,
+    (1.5, 0.0, -0.9999): 9.9034490751472017,
+    (1.5, 0.5, -0.9999): 9.9034102124732123,
+    (1.5, 1000.0, -0.9999): 9.902739060863552,
+    (2.0, 0.0, -0.9999): 9.9034586938091106,
+    (2.0, 0.5, -0.9999): 9.9034384205537052,
+    (2.0, 1000.0, -0.9999): 9.9031132560701449,
+    (3.0, 0.0, -0.9999): 9.9034683129279122,
+    (3.0, 0.5, -0.9999): 9.9034573517364418,
+    (3.0, 1000.0, -0.9999): 9.9033002568527194,
+    (8.0, 0.0, -0.9999): 9.9034803374689366,
+    (8.0, 0.5, -0.9999): 9.9034768053657421,
+    (8.0, 1000.0, -0.9999): 9.9034338748000212,
+    (1.5, 0.0, -0.99999): 12.206068797466846,
+    (1.5, 0.5, -0.99999): 12.206064911053461,
+    (1.5, 1000.0, -0.99999): 12.205997795627291,
+    (2.0, 0.0, -0.99999): 12.206069759476962,
+    (2.0, 0.5, -0.99999): 12.206067732151421,
+    (2.0, 1000.0, -0.99999): 12.206035215703065,
+    (3.0, 0.0, -0.99999): 12.206070721491647,
+    (3.0, 0.5, -0.99999): 12.206069625384063,
+    (3.0, 1000.0, -0.99999): 12.206053915919914,
+    (8.0, 0.0, -0.99999): 12.206071924016429,
+    (8.0, 0.5, -0.99999): 12.206071570808549,
+    (8.0, 1000.0, -0.99999): 12.20606727775718,
+}
+
 # V_1 of the n = 2 unit p-ball is half the perimeter of the unit l_p
 # circle, 4 * int_0^(2^(-1/p)) sqrt(1 + x^(2p-2) (1-x^p)^(2/p-2)) dx,
 # frozen from mpmath at 30 digits (the same quadrature gives pi at p = 2)

@@ -1,7 +1,9 @@
 """Special-function family: closed forms, identities, expansions."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from lpvol.specfun import (DEFAULT_CONFIG, IJKL, PExponent, QuadConfig,
                            log_choose, log_gamma, log_kappa)
 
 from .reference import (F3_AT_ZERO, HALF_PERIMETER_NEAR_ONE,
-                        LOG_F_NEAR_ONE, f_ref)
+                        LOG_F_NEAR_ONE, LOG_F_NU_NEAR_MINUS_ONE, f_ref)
 
 P_GRID = (1.2, 1.5, 2.0, 3.0, 5.0)
 T_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -139,7 +141,7 @@ class TestLargeT:
 class TestNearOne:
     """p near 1: the rescaled z^p coefficient t^(-p/(2p-2)) is so small
     that the mass of the t >= 1 table sits many decades below its upper
-    limit, and the nu < 0 substitution u = w^(1/(nu+1)) underflows."""
+    limit, and the nu < 0 head reaches down to u = e^(-21000)."""
 
     @pytest.mark.parametrize("p", [1.01, 1.005, 1.003])
     def test_log_f_against_frozen_reference(self, p):
@@ -153,6 +155,19 @@ class TestNearOne:
     def test_v1_is_half_the_perimeter(self, p, cfg):
         got = intrinsic_volume(PBallSpec.unit(p, 2), 1, cfg).value.value
         assert got == pytest.approx(HALF_PERIMETER_NEAR_ONE[p], rel=1e-10)
+
+
+class TestNuNearMinusOne:
+    """nu -> -1: almost all of F sits in the u^nu singularity at 0, where
+    the head below y0 = log u is a closed form and the rest of [0, split]
+    is integrated in y."""
+
+    @pytest.mark.parametrize("nu", [-0.999, -0.9999, -0.99999])
+    def test_log_f_against_frozen_reference(self, nu):
+        for (p, t, q), ref in LOG_F_NU_NEAR_MINUS_ONE.items():
+            if q == nu:
+                assert f_family_log(p, t, nu) == pytest.approx(ref,
+                                                               abs=1e-12)
 
 
 def _double_loop_log_upper_limit(cs, e_c, e_1, nus, cfg):
@@ -189,6 +204,29 @@ class TestTailCutoff:
                         continue
                     assert cut <= prev, (p, nu, e, c)
                     prev = cut
+
+    def test_cutoff_bounds_the_exact_tail(self):
+        # at the returned u the exact tail c^(-s)/e * Gamma(s, c u^e),
+        # s = (nu+1)/e, is below the target, on every 8th coefficient of
+        # the monotonicity grid
+        log_target = math.log(DEFAULT_CONFIG.abs_tol) - math.log(10.0)
+        cs = np.concatenate([[0.0], np.logspace(-300, 3, 607)])[::8]
+        grid = [(nu, e) for p in (1.001, 1.005, 1.5, 3.0, 64.0)
+                for nu in (-0.999, -0.5, 0.0, p - 2.0, 2.0 * p - 2.0, 40.0)
+                for e in (2.0 * p - 2.0, p)]
+        worst = -math.inf
+        with mp.workdps(30):
+            for (nu, e), c in itertools.product(grid, cs):
+                cut = _tail_cutoff(c, e, nu, log_target)
+                if cut is None:
+                    continue
+                s = mp.mpf(nu + 1.0) / e
+                x = 0 if cut == -math.inf else mp.exp(e * mp.mpf(cut)
+                                                      + mp.log(c))
+                log_tail = (-s * mp.log(c) - mp.log(e)
+                            + mp.log(mp.gammainc(s, x)))
+                worst = max(worst, float(log_tail - log_target))
+        assert worst <= 0.0
 
     def test_one_search_matches_double_loop(self):
         rng = np.random.default_rng(5)
