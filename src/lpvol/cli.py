@@ -15,8 +15,7 @@ the manifest on a leading "# manifest=" comment line.  Every numeric
 row carries an estimated-error column.
 
 Config files are key=value lines (# comments allowed) overriding the
-quadrature defaults: rel_tol, abs_tol, max_subdivisions,
-theta_truncation_factor, singularity_split.
+quadrature defaults: rel_tol, abs_tol, max_subdivisions.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 invalid arguments,
 3 quadrature or solver failure.
@@ -115,6 +114,19 @@ def _weights_arg(text: str) -> list:
     if os.path.exists(text):
         text = ",".join(open(text).read().replace(",", " ").split())
     return _float_list(text, "--weights")
+
+
+def _regime_arg(args) -> dict:
+    """{flag: value} of the flag that fixes the face index in args.regime:
+    --alpha in the bulk, --j at the left edge, --m at the right edge;
+    {} for the surface regime."""
+    flag = {"bulk": "alpha", "left": "j", "right": "m"}.get(args.regime)
+    if flag is None:
+        return {}
+    value = getattr(args, flag)
+    if value is None:
+        raise DomainError(f"{args.regime} regime needs --{flag}")
+    return {flag: value}
 
 
 def _load_config(path) -> QuadConfig:
@@ -245,33 +257,20 @@ def cmd_asymptotic(args) -> int:
     cfg = _load_config(args.config)
     ns = _int_list(args.n, "--n")
     p = args.p
-    params = {"p": p, "regime": args.regime, "n": ns}
+    params = {"p": p, "regime": args.regime, "n": ns, **_regime_arg(args)}
 
     def face_index(n):
         if args.regime == "bulk":
-            if args.alpha is None:
-                raise DomainError("bulk regime needs --alpha")
             j = int(math.floor(args.alpha * n))
             if not 1 <= j <= n - 1:
                 raise DomainError(f"alpha={args.alpha} gives j={j} "
                                   f"outside 1..{n - 1} at n={n}")
             return j
         if args.regime == "left":
-            if args.j is None:
-                raise DomainError("left regime needs --j")
             return args.j
         if args.regime == "right":
-            if args.m is None:
-                raise DomainError("right regime needs --m")
             return n - args.m
         return None
-
-    if args.regime == "bulk":
-        params["alpha"] = args.alpha
-    elif args.regime == "left":
-        params["j"] = args.j
-    elif args.regime == "right":
-        params["m"] = args.m
 
     def row(n):
         if args.regime == "surface":
@@ -371,21 +370,9 @@ def cmd_maxwell(args) -> int:
     cfg = _load_config(args.config)
     ns = _int_list(args.n, "--n")
     lambdas = _float_list(args.lambdas, "--lambda")
-    kw = {}
+    kw = _regime_arg(args)
     params = {"p": args.p, "regime": args.regime, "lambda": lambdas,
-              "n": ns}
-    if args.regime == "bulk":
-        if args.alpha is None:
-            raise DomainError("bulk regime needs --alpha")
-        kw["alpha"] = params["alpha"] = args.alpha
-    elif args.regime == "left":
-        if args.j is None:
-            raise DomainError("left regime needs --j")
-        kw["j"] = params["j"] = args.j
-    elif args.regime == "right":
-        if args.m is None:
-            raise DomainError("right regime needs --m")
-        kw["m"] = params["m"] = args.m
+              "n": ns, **kw}
     rows = convergence_table(args.p, args.regime, lambdas, ns, cfg=cfg, **kw)
     _emit(args, _manifest("maxwell", params, cfg),
           ["n", "scaled_moment", "limit", "rel_gap", "est_rel_error"], rows)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError
 from .exactvol import (MomentRequest, PBallSpec, _moment_log,
                        intrinsic_volume)
 from .rng import standard_exponential, stream
@@ -45,7 +45,6 @@ __all__ = [
     "kolmogorov_distance", "nu_inf_cdf", "nu_1_cdf",
 ]
 
-_NORMALIZATION_TOL = 1e-8
 _BATCH = 1 << 14
 
 
@@ -58,26 +57,14 @@ def lambda0(p) -> float:
     return base ** (2.0 * (p - 1.0) / p)
 
 
-def _half_line(f: Callable[[float], float]) -> float:
-    # imported here, not at module level: scipy.integrate pulls in
-    # scipy.optimize and scipy.sparse.linalg, the slowest part of a CLI
-    # start-up, and only the limit-law normalisation needs it
-    from scipy.integrate import quad
-
-    val, err = quad(f, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-    if not math.isfinite(val):
-        raise QuadratureFailure("normalization integral diverged")
-    return val
-
-
 @dataclass(frozen=True)
 class LimitLaw:
     """One of the three limit laws, with its regime-specific constants.
 
-    Construction integrates the density independently (smooth
-    substitution u = t^(1/(p-1)) removes the |u|^(p-2) factor) and
-    insists on total mass 1 within 1e-8, which cross-checks the cached
-    I, J normalizers against an unrelated quadrature.
+    Every normaliser is exact: a gamma function at the edges, and
+    I(theta*) = F(theta*; 0), J(theta*) = F(theta*; p-2) from the F-table
+    in the bulk, so the total mass is 1 by construction.  The tests check
+    it against an unrelated quadrature.
     """
 
     regime: str
@@ -89,7 +76,6 @@ class LimitLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
-        p = self.p
         if self.regime not in ("bulk", "left", "right"):
             raise DomainError(f"unknown regime {self.regime!r}")
         if self.regime == "bulk":
@@ -99,24 +85,6 @@ class LimitLaw:
                     or self.log_j is None):
                 raise DomainError("bulk law needs phase data; use "
                                   "LimitLaw.bulk")
-            t = self.phase_point.theta_star
-            a_part = 2.0 * _half_line(
-                lambda u: math.exp(-u ** p - t * u ** (2 * p - 2)))
-            q = p / (p - 1.0)
-            j_part = 2.0 / (p - 1.0) * _half_line(
-                lambda s: math.exp(-s ** q - t * s * s))
-            mass = (self.alpha * a_part * math.exp(-self.log_i)
-                    + (1.0 - self.alpha) * j_part * math.exp(-self.log_j))
-        elif self.regime == "left":
-            lam0 = lambda0(p)
-            pref = 2.0 * math.sqrt(lam0 / math.pi)
-            mass = pref * _half_line(lambda s: math.exp(-lam0 * s * s))
-        else:
-            mass = (2.0 * _half_line(lambda u: math.exp(-u ** p))
-                    / (2.0 * math.exp(log_gamma(1.0 + 1.0 / p))))
-        if abs(mass - 1.0) > _NORMALIZATION_TOL:
-            raise QuadratureFailure(
-                f"{self.regime} density mass {mass!r} is off unity")
 
     # -- factories ---------------------------------------------------------
 
@@ -171,8 +139,11 @@ def limit_density(law: LimitLaw, u) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def limit_moment(law: LimitLaw, lam: float) -> float:
-    """E |xi|^lam in closed form (gamma ratios), lam >= 0."""
+def limit_moment(law: LimitLaw, lam: float, cfg: QuadConfig = None) -> float:
+    """E |xi|^lam, lam >= 0: a gamma ratio at the edges, a ratio of
+    F-table values in the bulk.  Pass the cfg the law was built with, so
+    that numerator and normalisers come from one table.
+    """
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"moment exponent must be >= 0, got {lam}")
@@ -185,7 +156,7 @@ def limit_moment(law: LimitLaw, lam: float) -> float:
         return math.exp(log_gamma(s) - 0.5 * math.log(math.pi)
                         - lam / (2.0 * p - 2.0) * math.log(lam0))
     t = law.phase_point.theta_star
-    tab = f_family_log_table(p, [t], [lam, lam + p - 2.0])[0]
+    tab = f_family_log_table(p, [t], [lam, lam + p - 2.0], cfg)[0]
     return (law.alpha * math.exp(float(tab[0]) - law.log_i)
             + (1.0 - law.alpha) * math.exp(float(tab[1]) - law.log_j))
 
@@ -256,7 +227,7 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
         raise DomainError(f"unknown regime {regime!r}")
     limit = 1.0
     for lam in lambdas:
-        limit *= law.scale ** lam * limit_moment(law, lam)
+        limit *= law.scale ** lam * limit_moment(law, lam, cfg)
     rows = []
     for n in n_list:
         n = int(n)

@@ -32,20 +32,20 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_BATCH = 65_536
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo controls: total draws, stream seed, draws per batch.
+    """Monte Carlo controls: total draws and stream seed.
 
-    Results are bitwise reproducible given (sample_count, seed, batch):
-    batch b consumes its own counter-based substream keyed (seed, b), so
-    merging is order-independent.
+    Results are bitwise reproducible given (sample_count, seed): draws come
+    in batches of _BATCH, and batch b consumes its own counter-based
+    substream keyed (seed, b), so merging is order-independent.
     """
 
     sample_count: int = 100_000
     seed: int = 0
-    batch: int = 65_536
 
     def __post_init__(self):
         if not (isinstance(self.sample_count, int)
@@ -55,9 +55,6 @@ class McConfig:
                 f"{self.sample_count!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must be a 64-bit int, got {self.seed!r}")
-        if not (isinstance(self.batch, int) and self.batch >= 1):
-            raise DomainError(f"batch must be a positive int, got "
-                              f"{self.batch!r}")
 
 
 def _check_index(n: int, j: int, hi: int):
@@ -343,7 +340,7 @@ def steiner_mc_volume(spec: PBallSpec, t: float,
     done = 0
     chunk = 0
     while done < total:
-        size = min(mc.batch, total - done)
+        size = min(_BATCH, total - done)
         gen = stream(mc.seed, chunk)
         pts = (2.0 * gen.random((size, spec.n)) - 1.0) * half[None, :]
         hits += int(np.count_nonzero(_offset_contains(spec, pts, t)))

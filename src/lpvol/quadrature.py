@@ -24,6 +24,9 @@ from .errors import DomainError, QuadratureFailure
 from .logspace import LOG_ZERO, log_add, logsumexp_arr
 
 _LOG2 = math.log(2.0)
+# upper theta limit of log_theta_integral's first piece, before octave
+# doubling takes over
+_THETA_START = 8.0
 
 # 15-point Kronrod abscissae (positive half, descending) and weights,
 # with the embedded 7-point Gauss weights.
@@ -234,7 +237,7 @@ def log_theta_integral(power, log_smooth, s_tail, cfg):
             np.asarray(log_smooth(np.array([th])))[0])
 
     budget = cfg.max_subdivisions
-    u_hi = max(float(cfg.theta_truncation_factor), 1.0)
+    u_hi = _THETA_START
     logval, logerr, ni = quad_gk_log(
         logg, 0.0, math.sqrt(u_hi), rel_tol=rel, max_subdivisions=budget)
     nodes = 15 * ni

@@ -67,21 +67,15 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Accuracy and truncation knobs shared by all quadrature-backed ops.
+    """Accuracy knobs shared by all quadrature-backed ops.
 
     rel_tol / abs_tol: per-component targets for adaptive integration.
     max_subdivisions: interval budget per adaptive call.
-    theta_truncation_factor: initial upper limit for half-line theta
-        integrals before octave doubling takes over.
-    singularity_split: where [0, inf) is cut; for nu < 0 the piece below
-        it, with the u^nu endpoint singularity, is integrated in log u.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 512
-    theta_truncation_factor: float = 8.0
-    singularity_split: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
@@ -90,14 +84,9 @@ class QuadConfig:
             raise DomainError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
         if not self.max_subdivisions >= 8:
             raise DomainError("max_subdivisions must be at least 8")
-        if not self.theta_truncation_factor > 0.0:
-            raise DomainError("theta_truncation_factor must be positive")
-        if not (0.0 < self.singularity_split < 1.0):
-            raise DomainError("singularity_split must be in (0, 1)")
 
     def cache_key(self):
-        return (self.rel_tol, self.abs_tol, self.max_subdivisions,
-                self.singularity_split)
+        return (self.rel_tol, self.abs_tol, self.max_subdivisions)
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -223,6 +212,9 @@ _CACHE: dict = {}
 _CACHE_LIMIT = 500_000
 # log of the largest ratio u_hi / split integrated on a linear u scale
 _LOG_WIDE_SPAN = math.log(1e4)
+# where [0, inf) is cut: for nu < 0 the piece below it, with the u^nu
+# endpoint singularity, is integrated in log u
+_SPLIT = 0.5
 # log-integrand drop that bounds each window of _log_u_piece
 _LOG_WINDOW = 40.0
 
@@ -296,7 +288,6 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     log_cs = np.asarray(log_cs, dtype=float)
     nus = np.asarray(nus, dtype=float)
     k, m = len(cs), len(nus)
-    split = cfg.singularity_split
     log_hi = _log_upper_limit(cs, e_c, e_1, nus, cfg)
 
     def kernel(u):
@@ -322,15 +313,15 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
         vals[:, sel] += gk(f, lo, hi).reshape(k, len(nus_sel))
 
     log_wide = None
-    y_split = math.log(split)
+    y_split = math.log(_SPLIT)
     if log_hi - y_split <= _LOG_WIDE_SPAN:
-        add_direct(np.arange(m), split, math.exp(min(log_hi, 700.0)))
+        add_direct(np.arange(m), _SPLIT, math.exp(min(log_hi, 700.0)))
     else:
         log_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split, log_hi, gk)
     neg = nus < 0.0
     pos = ~neg
     if pos.any():
-        add_direct(np.flatnonzero(pos), 0.0, split)
+        add_direct(np.flatnonzero(pos), 0.0, _SPLIT)
     if neg.any():
         # nu in (-1, 0): integrate in y = log u on [y0, log split].  Every
         # row has c <= 1, so below y0 the kernel is 1 to double precision

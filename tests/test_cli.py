@@ -94,7 +94,6 @@ class TestOutputContract:
         assert man["parameters"]["p"] == 2.5
         assert set(man["config"]) == {
             "rel_tol", "abs_tol", "max_subdivisions",
-            "theta_truncation_factor", "singularity_split",
         }
         assert "seed" in man and "version" in man
 
@@ -152,6 +151,15 @@ class TestOutputContract:
         rc, _, err = run(capsys, self.ARGV + ["--config", str(path)])
         assert rc == 2
         assert f"{path}:2" in err and "speed" in err
+
+    @pytest.mark.parametrize("key", ["theta_truncation_factor",
+                                     "singularity_split"])
+    def test_former_config_key_is_unknown(self, capsys, tmp_path, key):
+        path = tmp_path / "quad.cfg"
+        path.write_text(f"{key}=0.5\n")
+        rc, _, err = run(capsys, self.ARGV + ["--config", str(path)])
+        assert rc == 2
+        assert "unknown config key" in err and key in err
 
     def test_bad_config_value(self, capsys, tmp_path):
         path = tmp_path / "quad.cfg"
@@ -316,7 +324,13 @@ print(scipy_modules())
 for argv in (["intrinsic", "-p", "1.5", "-n", "6", "--all"],
              ["asymptotic", "-p", "1.5", "--regime", "bulk",
               "--alpha", "0.5", "--n", "20"],
-             ["profile", "-p", "3", "--grid", "0.25"]):
+             ["profile", "-p", "3", "--grid", "0.25"],
+             ["maxwell", "-p", "3", "--regime", "bulk", "--alpha", "0.5",
+              "--lambda", "2", "--n", "8"],
+             ["maxwell", "-p", "1.5", "--regime", "left", "--j", "2",
+              "--lambda", "2", "--n", "8"],
+             ["maxwell", "-p", "3", "--regime", "right", "--m", "1",
+              "--lambda", "2", "--n", "8"]):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         assert lpvol.cli.main(argv) == 0
@@ -327,15 +341,14 @@ for argv in (["intrinsic", "-p", "1.5", "-n", "6", "--all"],
 class TestStartup:
     def test_cli_runs_without_scipy(self):
         # importing scipy is most of a CLI process's start-up; the
-        # F-tables, the phase functions and the profiles need none of it,
-        # and the limit-law mass check and the oracles import it when
-        # they run
+        # F-tables, the phase functions, the profiles and the limit laws
+        # need none of it, and only the oracles import it when they run
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run(
             [sys.executable, "-c", _SCIPY_AFTER_RUNS],
             env=env, capture_output=True, text=True, timeout=120, check=True)
-        assert out.stdout.split() == ["[]"] * 4
+        assert out.stdout.split() == ["[]"] * 7
 
 
 class TestValidateCommand:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lpvol.errors import DomainError, QuadratureFailure
+from lpvol.errors import DomainError
 from lpvol.maxwell import (
     EmpiricalSample,
     LimitLaw,
@@ -29,6 +29,7 @@ from lpvol.maxwell import (
     sample_crosspolytope_skeleton,
     sample_cube_skeleton,
 )
+from lpvol.specfun import QuadConfig
 
 
 class TestLambda0:
@@ -56,15 +57,6 @@ class TestLimitLawConstruction:
     def test_edge_scales(self):
         assert LimitLaw.left_edge(3.0).scale == pytest.approx(3.0 ** (1 / 3))
         assert LimitLaw.right_edge(3.0).scale == pytest.approx(3.0 ** (1 / 3))
-
-    def test_normalization_guard(self):
-        # corrupting a cached normalizer must trip the mass check
-        good = LimitLaw.bulk(1.5, 0.3)
-        with pytest.raises(QuadratureFailure):
-            LimitLaw(
-                "bulk", 1.5, alpha=0.3, phase_point=good.phase_point,
-                log_i=good.log_i + 1e-4, log_j=good.log_j,
-            )
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -110,11 +102,17 @@ class TestDensities:
         assert limit_density(LimitLaw.left_edge(1.5), 0.0) == np.inf
         assert np.isfinite(limit_density(LimitLaw.right_edge(1.5), 0.0))
 
+    # lam = 0 checks each law's mass against QUADPACK, over criterion
+    # 11's p and alpha grid and both edges at the same p
     @pytest.mark.parametrize("make", [
         lambda: LimitLaw.bulk(1.5, 0.3),
         lambda: LimitLaw.bulk(3.0, 0.7),
         lambda: LimitLaw.left_edge(2.5),
         lambda: LimitLaw.right_edge(1.3),
+        *(lambda p=p, a=a: LimitLaw.bulk(p, a)
+          for p in (1.5, 2.0, 3.0) for a in (0.1, 0.5, 0.9)),
+        *(lambda p=p: LimitLaw.left_edge(p) for p in (1.5, 2.0, 3.0)),
+        *(lambda p=p: LimitLaw.right_edge(p) for p in (1.5, 2.0, 3.0)),
     ])
     def test_moments_match_quadrature(self, make):
         law = make()
@@ -129,6 +127,14 @@ class TestDensities:
         for law in (LimitLaw.bulk(2.2, 0.6), LimitLaw.left_edge(1.7),
                     LimitLaw.right_edge(4.0)):
             assert limit_moment(law, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p, alpha", [(1.2, 0.7), (1.5, 0.3)])
+    def test_zeroth_moment_uses_the_law_config(self, p, alpha):
+        # the moment's F-table and the law's normalisers must come from
+        # the same config, or their ratio is off 1 by the quadrature error
+        cfg = QuadConfig(rel_tol=1e-6, abs_tol=1e-12)
+        law = LimitLaw.bulk(p, alpha, cfg)
+        assert abs(limit_moment(law, 0.0, cfg) - 1.0) <= 1e-15
 
     def test_moment_validation(self):
         with pytest.raises(DomainError):
