@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .logspace import LogValue
+from .roots import solve_increasing
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_choose)
 
@@ -159,30 +160,18 @@ def phase_maximizer(p, beta, cfg: QuadConfig = None) -> PhasePoint:
         log_g, slope, logi, logj, logk = _log_g_and_slope(p, s, cfg)
         return log_g - log_rhs, slope, logi, logj, logk
 
-    s_lo = s_hi = 0.0
-    w, slope, logi, logj, logk = w_at(0.0)
-    if w < 0.0:
-        for _ in range(400):
-            s_lo = s_hi
-            s_hi += 2.0 * _LOG2
-            w, slope, logi, logj, logk = w_at(s_hi)
-            if w >= 0.0:
-                break
-        else:
-            raise ConvergenceFailure("phase bracket walked off the line")
-        s = s_hi
-    elif w > 0.0:
-        for _ in range(400):
-            s_hi = s_lo
-            s_lo -= 2.0 * _LOG2
-            w, slope, logi, logj, logk = w_at(s_lo)
-            if w <= 0.0:
-                break
-        else:
-            raise ConvergenceFailure("phase bracket walked off the line")
-        s = s_lo
+    # walk from theta = 1 toward the root, 4x per step, until w changes sign
+    s = 0.0
+    w, slope, logi, logj, logk = w_at(s)
+    step = 2.0 * _LOG2 if w < 0.0 else -2.0 * _LOG2
+    for _ in range(400):
+        if w == 0.0 or (w > 0.0) == (step > 0.0):
+            break
+        s += step
+        w, slope, logi, logj, logk = w_at(s)
     else:
-        s = 0.0
+        raise ConvergenceFailure("phase bracket walked off the line")
+    s_lo, s_hi = min(s, s - step), max(s, s - step)
     for _ in range(100):
         if w > 0.0:
             s_hi = s
@@ -328,59 +317,35 @@ def exp_profile(p, alpha, cfg: QuadConfig = None) -> ProfilePoint:
     return ProfilePoint(alpha, kap + sup, kap, sup)
 
 
-def _golden_newton_max(value, slope, curvature, lo: float, hi: float) -> float:
-    """Maximize a smooth strictly concave function on [lo, hi].
-
-    Golden-section search isolates the maximizer, then a few Newton
-    steps on the derivative polish it; the bracket [0, 10] used by the
-    callers comfortably contains the maximizer for every alpha of
-    interest (the inner maximizer grows only like sqrt(log(1/alpha))).
-    """
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = value(d)
-    x = 0.5 * (a + b)
-    for _ in range(8):
-        step = slope(x) / curvature(x)
-        x_next = min(max(x - step, lo), hi)
-        if abs(x_next - x) <= 1e-15 * max(1.0, abs(x)):
-            x = x_next
-            break
-        x = x_next
-    return value(x)
-
-
 def _x_log_x(x: float) -> float:
     return x * math.log(x) if x > 0.0 else 0.0
 
 
-def _sup_crosspolytope(alpha: float) -> float:
-    """sup over t >= 0 of -alpha t^2/2 + (1-alpha) log(2 Phi(t) - 1)."""
+def _gaussian_sup(alpha: float, log_term, rate, lo: float) -> float:
+    """sup over x >= lo of -alpha x^2/2 + (1-alpha) log_term(x).
+
+    log_term is log Phi or log(2 Phi - 1), so its derivative rate obeys
+    rate' = -rate (x + rate) and the slope is decreasing; the maximizer
+    is its root.  That lies near sqrt(2 log(1/alpha)), where phi falls to
+    alpha/sqrt(2 pi); 2 units on, 2 phi < alpha x and the slope is < 0.
+    """
     if alpha in (0.0, 1.0):
         return 0.0
+    x = solve_increasing(
+        lambda x: (alpha * x - (1.0 - alpha) * rate(x),
+                   alpha + (1.0 - alpha) * rate(x) * (x + rate(x))),
+        lo, 2.0 + math.sqrt(-2.0 * math.log(alpha)))
+    return float(-0.5 * alpha * x * x + (1.0 - alpha) * log_term(x))
 
-    def rate(t):
-        # 2 phi(t) / (2 Phi(t) - 1), the log-derivative of the second term
-        return (2.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-                / math.erf(t / _SQRT2))
 
-    return _golden_newton_max(
-        lambda t: (-0.5 * alpha * t * t
-                   + (1.0 - alpha) * math.log(math.erf(t / _SQRT2))),
-        lambda t: -alpha * t + (1.0 - alpha) * rate(t),
-        lambda t: -alpha - (1.0 - alpha) * rate(t) * (t + rate(t)),
-        1e-8, 10.0)
+def _sup_crosspolytope(alpha: float) -> float:
+    """sup over t >= 0 of -alpha t^2/2 + (1-alpha) log(2 Phi(t) - 1)."""
+    return _gaussian_sup(
+        alpha, lambda t: math.log1p(-math.erfc(t / _SQRT2)),
+        # 2 phi(t) / (2 Phi(t) - 1)
+        lambda t: (2.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+                   / math.erf(t / _SQRT2)),
+        1e-8)
 
 
 def _log_ndtr(x: float) -> float:
@@ -390,21 +355,12 @@ def _log_ndtr(x: float) -> float:
 
 def _sup_simplex(alpha: float) -> float:
     """sup over x of -alpha x^2/2 + (1-alpha) log Phi(x)."""
-    if alpha == 0.0:
-        return 0.0
-    if alpha == 1.0:
-        return 0.0
-
-    def rate(x):
-        # phi(x) / Phi(x), the log-derivative of log Phi
-        return math.exp(-0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
-                        - _log_ndtr(x))
-
-    return _golden_newton_max(
-        lambda x: -0.5 * alpha * x * x + (1.0 - alpha) * _log_ndtr(x),
-        lambda x: -alpha * x + (1.0 - alpha) * rate(x),
-        lambda x: -alpha - (1.0 - alpha) * rate(x) * (x + rate(x)),
-        0.0, 10.0)
+    return _gaussian_sup(
+        alpha, _log_ndtr,
+        # phi(x) / Phi(x)
+        lambda x: math.exp(-0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+                           - _log_ndtr(x)),
+        0.0)
 
 
 def profile_references(alpha) -> ProfileReferences:
@@ -418,7 +374,7 @@ def profile_references(alpha) -> ProfileReferences:
     g_2 = (-_x_log_x(alpha) - 0.5 * _x_log_x(1.0 - alpha)
            + 0.5 * alpha * math.log(2.0 * math.pi * math.e))
     g_1 = (alpha * math.log(2.0 * math.e) - 2.0 * _x_log_x(alpha)
-           - _x_log_x(1.0 - alpha) + float(_sup_crosspolytope(alpha)))
+           - _x_log_x(1.0 - alpha) + _sup_crosspolytope(alpha))
     g_simplex = (alpha - 2.0 * _x_log_x(alpha) - _x_log_x(1.0 - alpha)
                  + _sup_simplex(alpha))
     return ProfileReferences(g_inf, g_2, g_1, g_simplex)

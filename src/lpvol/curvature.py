@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DomainError
 from .exactvol import PBallSpec
+from .roots import solve_increasing
 from .specfun import kappa
 from .symfun import elementary_symmetric
 
@@ -105,9 +106,11 @@ def principal_curvatures(pt: BoundaryPoint) -> np.ndarray:
 
     They are mu/S for the n-1 roots mu of the secular equation
     sum_i c_i prod_(j != i) (d_j - mu) = 0 with d_j = (p-1) w_j: one
-    root bisected inside each gap between consecutive distinct d values
-    (the rational form sum c_i/(d_i - mu) is increasing there and spans
-    -inf..+inf), plus a root of multiplicity k-1 at every k-fold d.
+    root inside each gap between consecutive distinct d values, plus a
+    root of multiplicity k-1 at every k-fold d.  In each gap the rational
+    form sum c_i/(d_i - mu) is increasing, with derivative
+    sum c_i/(d_i - mu)^2, and spans -inf..+inf; one solve_increasing
+    call finds the roots of all gaps at once.
     """
     c, w, s = _curvature_data(pt)
     d = (pt.spec.p - 1.0) * w
@@ -115,24 +118,14 @@ def principal_curvatures(pt: BoundaryPoint) -> np.ndarray:
     weight = np.zeros(uniq.shape[0])
     np.add.at(weight, inv, c)
     counts = np.bincount(inv, minlength=uniq.shape[0])
-    roots = []
-    # repeated d values are roots with one copy fewer
-    for val, cnt in zip(uniq, counts):
-        roots.extend([float(val)] * (cnt - 1))
-    for k in range(uniq.shape[0] - 1):
-        lo, hi = float(uniq[k]), float(uniq[k + 1])
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            val = float(np.sum(weight / (uniq - mid)))
-            if val > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        roots.append(0.5 * (lo + hi))
-    out = np.sort(np.array(roots)) / s
-    return out
+
+    def secular(mu):
+        r = 1.0 / (uniq[None, :] - mu[:, None])
+        return r @ weight, (r * r) @ weight
+
+    with np.errstate(divide="ignore"):
+        gaps = solve_increasing(secular, uniq[:-1], uniq[1:])
+    return np.sort(np.concatenate([np.repeat(uniq, counts - 1), gaps])) / s
 
 
 def sigma_curvatures(pt: BoundaryPoint, m: int) -> float:

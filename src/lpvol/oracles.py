@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .exactvol import PBallSpec
+from .roots import solve_increasing
 from .rng import stream
 from .specfun import QuadConfig, kappa, log_choose, log_kappa
 from .symfun import elementary_symmetric
@@ -30,6 +31,7 @@ __all__ = [
     "project_lp_ball", "steiner_mc_volume",
 ]
 
+_LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BATCH = 65_536
@@ -198,60 +200,59 @@ def ellipsoid_vj(semiaxes: Sequence[float], j: int, cfg: QuadConfig = None,
     return kappa(j) * total
 
 
-def _inner_coordinate_solve(x: np.ndarray, c: np.ndarray,
-                            p: float) -> np.ndarray:
-    """Solve y + c y^(p-1) = x coordinatewise for y in [0, x], x >= 0.
-
-    The left side is strictly increasing in y, so plain bisection is
-    safe for every p > 1; p = 2 is linear and solved directly.
-    """
-    if p == 2.0:
-        return x / (1.0 + c)
-    lo = np.zeros_like(x)
-    hi = x.copy()
-    e = p - 1.0
-    for _ in range(54):
-        mid = 0.5 * (lo + hi)
-        above = mid + c * mid ** e > x
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def _project_outside(spec: PBallSpec, x: np.ndarray) -> np.ndarray:
     """Project points with gauge > 1 onto the boundary (coordinates >= 0).
 
-    KKT system: y_i + mu p a_i^p y_i^(p-1) = x_i with multiplier mu > 0
-    chosen so that sum_i (a_i y_i)^p = 1.  The residual is decreasing in
-    mu; an outer doubling bracket plus bisection pins it down.
+    KKT system: y_i + c_i y_i^(p-1) = x_i with c_i = mu p a_i^p and a
+    multiplier mu > 0 chosen so that sum_i (a_i y_i)^p = 1; both levels
+    go through solve_increasing.  Inner: both terms on the left are
+    non-negative, so y <= u = min(x, (x/c)^(1/(p-1))), and one is at
+    least x/2, so y >= u 2^(-max(1, 1/(p-1))); p = 2 is solved directly.
+    Outer, in s = log mu, bracketed by doubling or halving mu from 1:
+    the inner equation gives mu dy/dmu = -c y^(p-1)/(1 + c(p-1) y^(p-2))
+    = -y (x-y)/(y + (p-1)(x-y)), as c y^(p-1) = x - y.
     """
     p = spec.p
-    apow = spec.weights ** p
-    awt = spec.weights[None, :]
+    e = p - 1.0
 
-    def resid(mu):
-        y = _inner_coordinate_solve(x, (p * mu)[:, None] * apow[None, :], p)
-        return np.sum((awt * y) ** p, axis=1) - 1.0, y
+    def inner(s):
+        c = (p * np.exp(s))[:, None] * spec.weights ** p
+        if p == 2.0:
+            return x / (1.0 + c)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = np.minimum(x, (x / c) ** (1.0 / e))
 
-    k = x.shape[0]
-    mu_lo = np.zeros(k)
-    mu_hi = np.ones(k)
+            def f(y):
+                term = c * y ** e
+                return y + term - x, 1.0 + e * term / y
+
+            return solve_increasing(f, u * 2.0 ** -max(1.0, 1.0 / e), u)
+
+    def outer(s):
+        y = inner(s)
+        ay = (spec.weights[None, :] * y) ** p
+        r = x - y
+        den = y + e * r
+        # -d/ds (a y)^p / p per coordinate; 0 where x = y = 0
+        fall = ay * r / np.where(den > 0.0, den, 1.0)
+        return 1.0 - ay.sum(axis=1), p * fall.sum(axis=1)
+
+    s = np.zeros(x.shape[0])
+    g = outer(s)[0]
+    up = g < 0.0
+    prev = s
     for _ in range(200):
-        r, _ = resid(mu_hi)
-        open_ = r > 0.0
-        if not np.any(open_):
+        walking = (g < 0.0) == up
+        if not walking.any():
             break
-        mu_lo = np.where(open_, mu_hi, mu_lo)
-        mu_hi = np.where(open_, 2.0 * mu_hi, mu_hi)
+        prev = np.where(walking, s, prev)
+        s = s + walking * np.where(up, _LOG2, -_LOG2)
+        g = outer(s)[0]
     else:
         raise ConvergenceFailure("projection multiplier bracket ran away")
-    for _ in range(64):
-        mid = 0.5 * (mu_lo + mu_hi)
-        r, _ = resid(mid)
-        pos = r > 0.0
-        mu_lo = np.where(pos, mid, mu_lo)
-        mu_hi = np.where(pos, mu_hi, mid)
-    r, y = resid(0.5 * (mu_lo + mu_hi))
+    s = solve_increasing(outer, np.where(up, prev, s), np.where(up, s, prev))
+    y = inner(s)
+    r = np.sum((spec.weights[None, :] * y) ** p, axis=1) - 1.0
     if np.max(np.abs(r)) > 1e-10:
         raise ConvergenceFailure(
             f"projection residual {np.max(np.abs(r)):.3e} above 1e-10")

@@ -1,0 +1,50 @@
+"""The bracketed root solver behind every monotone equation lpvol
+iterates on: projection, secular equation, profile maxima, log-u windows."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ConvergenceFailure
+
+__all__ = ["solve_increasing"]
+
+_STEP_TOL = 4.0 * np.finfo(float).eps
+_MAX_STEPS = 200  # pure bisection reaches _STEP_TOL in about 55
+
+
+def solve_increasing(f, lo, hi):
+    """Root of an increasing g on [lo, hi], per component.
+
+    f(x) returns (g(x), g'(x)) for an array x shaped like lo and hi.
+    Safeguarded Newton (rtsafe): each iterate shrinks the bracket by the
+    sign of g, and the midpoint replaces the Newton point when that
+    leaves the bracket or moves more than half the step before last.  A
+    component stops, and is not moved again, once g is 0 or its step is
+    below 4 ulp of the magnitude of its bracket [lo, hi]; one whose g has
+    no sign change converges to the end of the bracket.  Raises
+    ConvergenceFailure if a component is still moving after _MAX_STEPS.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    tol = _STEP_TOL * np.maximum(np.abs(lo), np.abs(hi))
+    x = 0.5 * (lo + hi)
+    step = before = hi - lo
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        g, dg = f(x)
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - g / dg
+        bisect = ~((lo <= newton) & (newton <= hi)
+                   & (np.abs(newton - x) <= 0.5 * np.abs(before)))
+        before = step
+        nxt = np.where(bisect, 0.5 * (lo + hi), newton)
+        step = nxt - x
+        x = np.where(active & (g != 0.0), nxt, x)
+        active &= (g != 0.0) & (np.abs(step) > tol)
+        if not active.any():
+            return x
+    raise ConvergenceFailure(
+        f"root solve still moving after {_MAX_STEPS} steps")

@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .quadrature import quad_gk
+from .roots import solve_increasing
 
 __all__ = [
     "QuadConfig", "DEFAULT_CONFIG", "PExponent", "as_exponent",
@@ -219,17 +220,6 @@ _SPLIT = 0.5
 _LOG_WINDOW = 40.0
 
 
-def _bisect_decreasing(g, lo, hi, steps=80):
-    """Per component, where the decreasing g crosses zero in [lo, hi]
-    (lo where g(lo) <= 0, hi where g(hi) >= 0)."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        up = g(mid) > 0.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
     """log of integral_(e^y_lo)^(e^y_hi) u^nu exp(-c u^e_c - u^e_1) du per
     (row, nu), integrated in y = log u.
@@ -241,7 +231,9 @@ def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
     component has one peak; it is integrated over its own window around
     that peak, where h is within _LOG_WINDOW of its maximum, mapped onto
     a shared x in [0, 1].  By concavity what lies outside the window is
-    below 2 exp(-_LOG_WINDOW) of the total.
+    below 2 exp(-_LOG_WINDOW) of the total.  solve_increasing finds the
+    peak as the root of -h' (with -h'') and each window end as the root
+    of +-(h - top + _LOG_WINDOW) (with +-h') on its side of the peak.
     """
     k, m = len(log_cs), len(nus)
     log_c = log_cs[:, None, None]
@@ -259,12 +251,18 @@ def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
         t_c, t_1 = terms(y)
         return slope - e_c * t_c - e_1 * t_1
 
+    def ddh(y):
+        t_c, t_1 = terms(y)
+        return -e_c * e_c * t_c - e_1 * e_1 * t_1
+
     lo = np.full((k, m, 1), y_lo)
     hi = np.full((k, m, 1), y_hi)
-    peak = _bisect_decreasing(dh, lo, hi)
+    peak = solve_increasing(lambda y: (-dh(y), -ddh(y)), lo, hi)
     top = h(peak)
-    a = _bisect_decreasing(lambda y: top - _LOG_WINDOW - h(y), lo, peak)
-    b = _bisect_decreasing(lambda y: h(y) - top + _LOG_WINDOW, peak, hi)
+    a = solve_increasing(lambda y: (h(y) - top + _LOG_WINDOW, dh(y)),
+                         lo, peak)
+    b = solve_increasing(lambda y: (top - _LOG_WINDOW - h(y), -dh(y)),
+                         peak, hi)
 
     def f(x):
         return np.exp(h(a + (b - a) * x) - top).reshape(k * m, -1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, OverflowGuard
+from .errors import DomainError
 from .logspace import logsumexp_arr
 
 __all__ = ["elementary_symmetric", "batched_loo_log"]
@@ -78,7 +78,7 @@ def batched_loo_log(logv, logu, logw, m) -> np.ndarray:
     if not 1 <= m <= n:
         raise DomainError(f"coefficient order m={m} outside 1..{n}")
     if n > _MAX_FACTORS:
-        raise OverflowGuard(
+        raise DomainError(
             f"{n} factors exceed the {_MAX_FACTORS} supported without "
             "intermediate renormalization")
     logc = np.maximum(logv, logu)

@@ -12,6 +12,8 @@ import pytest
 
 from lpvol.asymptotics import (
     PhasePoint,
+    _sup_crosspolytope,
+    _sup_simplex,
     ProfileReferences,
     bulk_asymptotic,
     exp_profile,
@@ -233,6 +235,22 @@ class TestProfileReferences:
         # ball above cube (e > sqrt(2 pi e)/2 > 1 per unit exponent)
         refs = profile_references(1.0)
         assert refs.g_1 > refs.g_2 > refs.g_inf
+
+    @pytest.mark.parametrize("alpha, cross, simplex", [
+        # mpmath at 80 digits
+        (1e-30, -6.73999191588299e-29, -6.67119032743629e-29),
+        (1e-25, -5.59798431863387e-24, -5.52928717268281e-24),
+        (1e-22, -4.9137296873808e-21, -4.84511832513828e-21),
+        (1e-20, -4.45808049051266e-19, -4.38954082320989e-19),
+    ])
+    def test_small_alpha_sups(self, alpha, cross, simplex):
+        # the maximizers sit near sqrt(2 log(1/alpha)), past t = 10 for
+        # alpha below about 2e-22, and log(2 Phi(t) - 1) must not round
+        # to 0 where erfc(t/sqrt 2) < 1.1e-16
+        assert _sup_crosspolytope(alpha) == pytest.approx(cross, rel=1e-12,
+                                                          abs=0.0)
+        assert _sup_simplex(alpha) == pytest.approx(simplex, rel=1e-12,
+                                                    abs=0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

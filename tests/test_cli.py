@@ -72,6 +72,19 @@ class TestIntrinsicCommand:
         assert rc == 0
         assert "log-concavity" not in err
 
+    def test_factor_cap_is_a_domain_error(self, capsys, tmp_path):
+        # weighted bodies go through the leave-one-out engine, which
+        # supports at most 960 factors
+        path = tmp_path / "w.txt"
+        path.write_text(",".join(["1.0", "2.0"] * 500) + "\n")
+        rc, _, err = run(capsys, [
+            "intrinsic", "-p", "3", "-n", "1000", "-j", "500",
+            "--weights", str(path),
+        ])
+        assert rc == 2
+        assert "960" in err
+        assert "Traceback" not in err
+
     def test_weight_length_mismatch(self, capsys):
         rc, _, err = run(capsys, [
             "intrinsic", "-p", "2", "-n", "3", "-j", "1", "--weights", "1,2",
@@ -311,6 +324,16 @@ class TestMaxwellCommand:
         ])
         assert rc == 2
         assert "--j" in err
+
+    def test_factor_cap_is_a_domain_error(self, capsys):
+        # the leave-one-out engine supports at most 960 factors
+        rc, _, err = run(capsys, [
+            "maxwell", "-p", "3", "--regime", "bulk", "--alpha", "0.5",
+            "--lambda", "2", "--n", "1000",
+        ])
+        assert rc == 2
+        assert "960" in err
+        assert "Traceback" not in err
 
 
 _SCIPY_AFTER_RUNS = """

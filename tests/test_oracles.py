@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
+from lpvol import oracles
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, steiner_polynomial
 from lpvol.oracles import (
@@ -23,6 +24,7 @@ from lpvol.oracles import (
     project_lp_ball,
     steiner_mc_volume,
 )
+from lpvol.rng import stream
 from lpvol.symfun import elementary_symmetric
 
 from .reference import ball_volume
@@ -248,6 +250,70 @@ class TestProjection:
             project_lp_ball(spec, [1.0, np.nan])
         with pytest.raises(DomainError):
             project_lp_ball(spec, [1.0, 2.0, 3.0])
+
+
+def _reference_project_outside(spec, x):
+    """The projection by nested fixed-step bisection: 54 sweeps per inner
+    solve of y + c y^(p-1) = x on [0, x], inside a doubling walk and 64
+    bisection steps on the multiplier mu over [0, mu_hi]."""
+    p = spec.p
+    apow = np.asarray(spec.weights) ** p
+
+    def resid(mu):
+        c = (p * mu)[:, None] * apow[None, :]
+        if p == 2.0:
+            y = x / (1.0 + c)
+        else:
+            lo, hi = np.zeros_like(x), x.copy()
+            for _ in range(54):
+                mid = 0.5 * (lo + hi)
+                above = mid + c * mid ** (p - 1.0) > x
+                hi = np.where(above, mid, hi)
+                lo = np.where(above, lo, mid)
+            y = 0.5 * (lo + hi)
+        return np.sum((np.asarray(spec.weights) * y) ** p, axis=1) - 1.0, y
+
+    mu_lo, mu_hi = np.zeros(len(x)), np.ones(len(x))
+    while True:
+        open_ = resid(mu_hi)[0] > 0.0
+        if not open_.any():
+            break
+        mu_lo = np.where(open_, mu_hi, mu_lo)
+        mu_hi = np.where(open_, 2.0 * mu_hi, mu_hi)
+    for _ in range(64):
+        mid = 0.5 * (mu_lo + mu_hi)
+        pos = resid(mid)[0] > 0.0
+        mu_lo = np.where(pos, mid, mu_lo)
+        mu_hi = np.where(pos, mu_hi, mid)
+    return resid(0.5 * (mu_lo + mu_hi))[1]
+
+
+class TestProjectionAgainstReference:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 3.5])
+    def test_offset_hit_flags(self, p, monkeypatch):
+        # seeded draws over each bounding box, as steiner_mc_volume makes
+        # them; a hit flag may differ only within 1e-10 of the boundary
+        # of the parallel body
+        differing = 0
+        for weights in ((1.0, 1.0), (1.0, 2.0), (1.0, 1.0, 1.0),
+                        (1.0, 2.0, 0.5)):
+            spec = PBallSpec(p, weights)
+            for k, t in enumerate((0.3, 0.5, 1.0)):
+                half = 1.0 / np.asarray(spec.weights) + t
+                pts = (2.0 * stream(17, k).random((2_000, spec.n)) - 1.0
+                       ) * half
+                got = oracles._offset_contains(spec, pts, t)
+                with monkeypatch.context() as m:
+                    m.setattr(oracles, "_project_outside",
+                              _reference_project_outside)
+                    want = oracles._offset_contains(spec, pts, t)
+                off = np.abs(pts[got != want])
+                if len(off):
+                    near = _reference_project_outside(spec, off)
+                    dist = np.linalg.norm(off - near, axis=1)
+                    assert np.all(np.abs(dist - t) <= 1e-10)
+                differing += len(off)
+        print(f"p={p}: {differing} of 24000 hit flags differ")
 
 
 class TestSteinerMonteCarlo:

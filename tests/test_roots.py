@@ -1,0 +1,117 @@
+"""Tests for the bracketed safeguarded-Newton solver."""
+
+import math
+
+import numpy as np
+import pytest
+
+from lpvol import roots
+from lpvol.errors import ConvergenceFailure
+from lpvol.roots import solve_increasing
+
+
+def _cubic(a):
+    # y^3 + y - (a^3 + a) is increasing with the single root a
+    r = a**3 + a
+
+    def f(y):
+        return y**3 + y - r, 3.0 * y * y + 1.0
+
+    return f
+
+
+def _exp_shift(t):
+    # e^y - 1 - t: from the far side of a wide bracket, plain Newton
+    # moves about one unit per step
+    def f(y):
+        with np.errstate(over="ignore"):
+            ey = np.exp(y)
+        return ey - 1.0 - t, ey
+
+    return f
+
+
+class TestSolveIncreasing:
+    def test_cubic_roots(self):
+        a = np.array([-3.0, -0.25, 0.0, 0.7, 2.5, 40.0])
+        y = solve_increasing(_cubic(a), np.full(6, -100.0), np.full(6, 100.0))
+        np.testing.assert_allclose(y, a, rtol=4e-16, atol=1e-300)
+
+    def test_exponential_from_the_far_side(self):
+        t = np.array([0.5, 10.0, 1e3, 1e100])
+        calls = []
+        f = _exp_shift(t)
+
+        def counted(y):
+            calls.append(1)
+            return f(y)
+
+        y = solve_increasing(counted, np.full(4, -5.0), np.full(4, 400.0))
+        np.testing.assert_allclose(y, np.log1p(t), rtol=4e-16)
+        # plain Newton from y = 197.5 needs about 195 steps for t = 10
+        assert len(calls) <= 30
+
+    def test_infinite_slope_at_the_left_end(self):
+        # y + c sqrt(y) = x: g' = 1 + c / (2 sqrt(y)) is infinite at y = 0
+        c = np.array([0.0, 1.0, 100.0, 1e8])
+        x = np.array([1.0, 2.0, 3.0, 0.5])
+
+        def f(y):
+            with np.errstate(divide="ignore"):
+                return y + c * np.sqrt(y) - x, 1.0 + 0.5 * c / np.sqrt(y)
+
+        y = solve_increasing(f, np.zeros(4), x)
+        # sqrt(y) = 2x / (c + sqrt(c^2 + 4x)), free of cancellation
+        exact = (2.0 * x / (c + np.sqrt(c * c + 4.0 * x))) ** 2
+        # the documented stop: 4 ulp of the bracket's magnitude, here x
+        assert np.all(np.abs(y - exact) <= 4.0 * np.finfo(float).eps * x)
+
+    def test_no_sign_change_returns_the_end(self):
+        lo = np.array([0.0, -20.0, 1.0, -3.0])
+        hi = np.array([1.0, 5.0, 2.0, -1.0])
+        shift = np.array([10.0, -10.0, -0.5, 7.0])
+        y = solve_increasing(lambda y: (y + shift, np.ones_like(y)), lo, hi)
+        ends = np.array([0.0, 5.0, 1.0, -3.0])
+        tol = 4.0 * np.finfo(float).eps * np.maximum(abs(lo), abs(hi))
+        assert np.all(np.abs(y - ends) <= tol)
+
+    def test_components_freeze_independently(self):
+        # y^2 - k for k = 3, 12, 37 dithers by an ulp at its root if it is
+        # stepped on; e^y - 1 - (e - 1) has g = 0 at its first midpoint;
+        # e^y - 1 - 10 takes a long approach.  Each component of the batch
+        # must match its solo solve exactly, within the budget.
+        k = np.array([3.0, 12.0, 37.0, math.e - 1.0, 10.0])
+        square = np.array([True, True, True, False, False])
+        lo = np.array([0.0, 0.0, 0.0, 0.0, -5.0])
+        hi = np.array([3.0, 12.0, 37.0, 2.0, 400.0])
+
+        def mixed(k, square):
+            def f(y):
+                with np.errstate(over="ignore"):
+                    ey = np.exp(y)
+                return (np.where(square, y * y, ey - 1.0) - k,
+                        np.where(square, 2.0 * y, ey))
+
+            return f
+
+        batch = solve_increasing(mixed(k, square), lo, hi)
+        for i in range(5):
+            one = slice(i, i + 1)
+            solo = solve_increasing(mixed(k[one], square[one]), lo[one],
+                                    hi[one])
+            assert batch[i] == solo[0]
+        assert batch[3] == 1.0
+
+    def test_scalar_bracket(self):
+        y = solve_increasing(
+            lambda x: (math.erf(x) - 0.5,
+                       2.0 / math.sqrt(math.pi) * math.exp(-x * x)),
+            0.0, 3.0)
+        assert np.ndim(y) == 0
+        assert math.erf(y) == pytest.approx(0.5, rel=1e-15)
+
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(roots, "_MAX_STEPS", 3)
+        with pytest.raises(ConvergenceFailure):
+            solve_increasing(_exp_shift(np.array([10.0])), np.array([-5.0]),
+                             np.array([400.0]))
