@@ -309,7 +309,7 @@ def exp_profile(p, alpha, cfg: QuadConfig = None) -> ProfilePoint:
         kap = (1.0 + math.log(p)) / p
         sup = _LOG2 + math.lgamma(1.0 + 1.0 / p)
         return ProfilePoint(1.0, kap + sup, kap, sup)
-    kap = ((alpha / p) * (1.0 - math.log(alpha / p))
+    kap = ((alpha / p) * (1.0 - math.log(alpha) + math.log(p))
            + (1.0 - alpha) * math.log(p - 1.0)
            - alpha * math.log(alpha) - (1.0 - alpha) * math.log(1.0 - alpha)
            - 0.5 * (1.0 - alpha) * math.log(math.pi))

@@ -24,7 +24,7 @@ from .errors import DegenerateInput, DomainError
 from .exactvol import PBallSpec
 from .roots import solve_increasing
 from .specfun import kappa
-from .symfun import elementary_symmetric
+from .symfun import batched_loo_log
 
 __all__ = [
     "BoundaryPoint", "boundary_point",
@@ -140,12 +140,11 @@ def sigma_curvatures(pt: BoundaryPoint, m: int) -> float:
         raise DomainError(f"order m must lie in 1..{n}, got {m!r}")
     m = int(m)
     c, w, s = _curvature_data(pt)
-    p = pt.spec.p
-    acc = 0.0
-    for i in range(n):
-        e = float(elementary_symmetric(np.delete(w, i))[m - 1])
-        acc += float(c[i]) * e
-    return (p - 1.0) ** (m - 1) / s ** (m + 1) * acc
+    # sum_i c_i [z^(m-1)] prod_(r != i) (1 + z w_r)
+    log_sum = float(batched_loo_log(
+        np.zeros((1, n)), np.log(w)[None], np.log(c)[None], m)[0])
+    return math.exp((m - 1) * math.log(pt.spec.p - 1.0)
+                    - (m + 1) * math.log(s) + log_sum)
 
 
 def gauss_curvature(pt: BoundaryPoint) -> float:

@@ -4,24 +4,34 @@ The weighted volume formulas all reduce to sums of the shape
 
     S_m = sum_i w_i * [z^(m-1)] prod_{r != i} (v_r + z * u_r)
 
-with positive v, u, w whose magnitudes can span hundreds of orders.  The
-engine below extracts the coefficient for every i at once from prefix and
-suffix truncated polynomial products (O(n*m) work instead of O(n^2*m)),
-normalizing each factor by max(v_r, u_r) so the truncated coefficients
-stay bounded by binomial counts, and carrying the normalizers as log
-offsets.  Everything is batched over a leading axis of theta rows.
+with positive v, u, w whose magnitudes can span hundreds of orders.  S_m
+is the s^1 z^(m-1) coefficient of prod_r (v_r + z u_r + s w_r), so one
+forward pass over the factors, carrying the s^0 and s^1 parts truncated
+to degree < m, gives all n terms at once in O(m) memory per row.  Three
+scalings keep the pass in range, and their logs are added back:
+
+- z -> z / rho per row, log rho = mean_r log(u_r / v_r)
+  + log((n-m+1)/(m-1)), puts z^(m-1) at the peak of the product;
+- factors are divided by c_r = max(v_r, u_r / rho) and w by its row
+  maximum of w_r / c_r, so one factor at most triples a coefficient;
+- every _RESCALE_STRIDE factors both parts are divided by their joint
+  row maximum (3^16 ~ 4e7 cannot overflow, and a row may sink by e^-44
+  per factor on average before reaching subnormals).
+
+Everything is batched over a leading axis of theta rows.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
-from .logspace import logsumexp_arr
 
 __all__ = ["elementary_symmetric", "batched_loo_log"]
 
-_MAX_FACTORS = 960  # binomial C(n, n/2) must stay below float overflow
+_RESCALE_STRIDE = 16
 
 
 def elementary_symmetric(values) -> np.ndarray:
@@ -35,31 +45,6 @@ def elementary_symmetric(values) -> np.ndarray:
     for v in vals:
         e[1:] = e[1:] + v * e[:-1]
     return e
-
-
-def _truncated_products(vt, ut, m):
-    """Prefix and suffix products of (v_r + z u_r), kept to degree < m.
-
-    vt, ut: (T, n) normalized factors.  Returns P (T, n+1, m) with
-    P[:, i] the coefficients of prod_{r < i}, and S (T, n+1, m) with
-    S[:, i] those of prod_{r >= i}.
-    """
-    t_rows, n = vt.shape
-    pref = np.zeros((t_rows, n + 1, m))
-    pref[:, 0, 0] = 1.0
-    for i in range(n):
-        base = pref[:, i, :]
-        nxt = vt[:, i:i + 1] * base
-        nxt[:, 1:] += ut[:, i:i + 1] * base[:, :-1]
-        pref[:, i + 1, :] = nxt
-    suf = np.zeros((t_rows, n + 1, m))
-    suf[:, n, 0] = 1.0
-    for i in range(n - 1, -1, -1):
-        base = suf[:, i + 1, :]
-        nxt = vt[:, i:i + 1] * base
-        nxt[:, 1:] += ut[:, i:i + 1] * base[:, :-1]
-        suf[:, i, :] = nxt
-    return pref, suf
 
 
 def batched_loo_log(logv, logu, logw, m) -> np.ndarray:
@@ -77,25 +62,38 @@ def batched_loo_log(logv, logu, logw, m) -> np.ndarray:
     t_rows, n = logv.shape
     if not 1 <= m <= n:
         raise DomainError(f"coefficient order m={m} outside 1..{n}")
-    if n > _MAX_FACTORS:
-        raise DomainError(
-            f"{n} factors exceed the {_MAX_FACTORS} supported without "
-            "intermediate renormalization")
-    logc = np.maximum(logv, logu)
-    if not np.isfinite(logc).all():
+    if not np.isfinite(np.maximum(logv, logu)).all():
         raise DomainError("each factor needs max(v, u) finite and positive")
+    ratio = logu - logv
+    finite = np.isfinite(ratio)
+    logrho = (np.where(finite, ratio, 0.0).sum(axis=1)
+              / np.maximum(finite.sum(axis=1), 1))
+    if m > 1:
+        logrho += math.log((n - m + 1) / (m - 1))
+    logu = logu - logrho[:, None]
+    logc = np.maximum(logv, logu)
     vt = np.exp(logv - logc)
     ut = np.exp(logu - logc)
-    pref, suf = _truncated_products(vt, ut, m)
-    # leave-one-out coefficient: sum_d pref[:, i, d] * suf[:, i+1, m-1-d]
-    suf_rev = suf[:, 1:, ::-1]
-    dot = np.einsum("tid,tid->ti", pref[:, :n, :], suf_rev)
-    csum = np.concatenate(
-        [np.zeros((t_rows, 1)), np.cumsum(logc, axis=1)], axis=1)
-    total = csum[:, n:n + 1]
-    # log prod_{r != i} c_r = total - logc_i
-    loo_scale = total - logc
+    lw = logw - logc
+    lw_max = lw.max(axis=1)
+    lw_max = np.where(np.isfinite(lw_max), lw_max, 0.0)
+    wt = np.exp(lw - lw_max[:, None])
+    # poly[0], poly[1]: the s^0 and s^1 parts, coefficients of z^0..z^(m-1)
+    poly = np.zeros((2, t_rows, m))
+    poly[0, :, 0] = 1.0
+    nxt = np.empty_like(poly)
+    log_scale = np.zeros(t_rows)
+    for r in range(n):
+        np.multiply(vt[:, r, None], poly, out=nxt)
+        nxt[:, :, 1:] += ut[:, r, None] * poly[:, :, :-1]
+        nxt[1] += wt[:, r, None] * poly[0]
+        poly, nxt = nxt, poly
+        if (r + 1) % _RESCALE_STRIDE == 0:
+            top = poly.max(axis=(0, 2))
+            top = np.where(top > 0.0, top, 1.0)
+            poly /= top[:, None]
+            log_scale += np.log(top)
     with np.errstate(divide="ignore"):
-        logdot = np.log(dot)
-    contrib = logw + logdot + loo_scale
-    return logsumexp_arr(contrib, axis=1)
+        log_coef = np.log(poly[1, :, m - 1])
+    return (log_coef + log_scale + lw_max + logc.sum(axis=1)
+            + (m - 1) * logrho)

@@ -72,18 +72,25 @@ class TestIntrinsicCommand:
         assert rc == 0
         assert "log-concavity" not in err
 
-    def test_factor_cap_is_a_domain_error(self, capsys, tmp_path):
-        # weighted bodies go through the leave-one-out engine, which
-        # supports at most 960 factors
+    def test_thousand_equal_weights_scale_the_unit_ball(self, capsys,
+                                                        tmp_path):
+        # weights all 2 give the unit ball scaled by 1/2, so V_500 is
+        # 2^-500 times the unit ball's; n = 1000 runs the leave-one-out
+        # engine over 1000 factors
         path = tmp_path / "w.txt"
-        path.write_text(",".join(["1.0", "2.0"] * 500) + "\n")
-        rc, _, err = run(capsys, [
-            "intrinsic", "-p", "3", "-n", "1000", "-j", "500",
-            "--weights", str(path),
-        ])
-        assert rc == 2
-        assert "960" in err
-        assert "Traceback" not in err
+        path.write_text(",".join(["2.0"] * 1000) + "\n")
+        rows = []
+        for extra in (["--weights", str(path)], []):
+            rc, out, err = run(capsys, [
+                "intrinsic", "-p", "3", "-n", "1000", "-j", "500",
+                "--format", "json", *extra,
+            ])
+            assert rc == 0, err
+            rows.append(json.loads(out)["rows"][0])
+        (_, weighted, _, err_w), (_, unit, _, err_u) = rows
+        gap = abs(math.log(weighted) + 500.0 * math.log(2.0)
+                  - math.log(unit))
+        assert gap <= err_w + err_u
 
     def test_weight_length_mismatch(self, capsys):
         rc, _, err = run(capsys, [
@@ -254,6 +261,13 @@ class TestProfileCommand:
         for row in doc["rows"]:
             assert row[gi] == pytest.approx(row[ref], abs=1e-8)
 
+    def test_subnormal_alpha_is_a_solver_failure(self, capsys):
+        # alpha / p underflows to 0 here, so the kappa term must not take
+        # its log
+        rc, _, err = run(capsys, ["profile", "-p", "3", "--alphas", "5e-324"])
+        assert rc == 3
+        assert "Traceback" not in err
+
     def test_grid_step_validated(self, capsys):
         rc, _, err = run(capsys, ["profile", "-p", "2", "--grid", "0.7"])
         assert rc == 2
@@ -325,15 +339,15 @@ class TestMaxwellCommand:
         assert rc == 2
         assert "--j" in err
 
-    def test_factor_cap_is_a_domain_error(self, capsys):
-        # the leave-one-out engine supports at most 960 factors
-        rc, _, err = run(capsys, [
+    def test_gap_shrinks_at_a_thousand_factors(self, capsys):
+        rc, out, err = run(capsys, [
             "maxwell", "-p", "3", "--regime", "bulk", "--alpha", "0.5",
-            "--lambda", "2", "--n", "1000",
+            "--lambda", "2", "--n", "512,1000", "--format", "json",
         ])
-        assert rc == 2
-        assert "960" in err
-        assert "Traceback" not in err
+        assert rc == 0, err
+        (n0, *_, gap0, _), (n1, *_, gap1, _) = json.loads(out)["rows"]
+        assert (n0, n1) == (512, 1000)
+        assert 0.0 < gap1 < gap0
 
 
 _SCIPY_AFTER_RUNS = """

@@ -68,11 +68,15 @@ class TestUnitIntrinsicVolumes:
         assert got == pytest.approx(volume(spec).value, rel=1e-10)
 
     def test_unit_route_matches_weighted_route(self, cfg):
-        spec = PBallSpec.unit(1.7, 5)
-        for j in range(6):
-            a = intrinsic_volume(spec, j, cfg).value.value
-            b = intrinsic_volume_weighted(spec, j, cfg).value.value
-            assert b == pytest.approx(a, rel=1e-9)
+        # at n >= 120 the weighted route's z^(m-1) coefficient sinks into
+        # subnormals unless the leave-one-out engine balances z per row
+        for p, n, js in ((1.7, 5, range(6)), (3.0, 120, (1,)),
+                         (3.0, 160, (1,))):
+            spec = PBallSpec.unit(p, n)
+            for j in js:
+                a = intrinsic_volume(spec, j, cfg).value.value
+                b = intrinsic_volume_weighted(spec, j, cfg).value.value
+                assert b == pytest.approx(a, rel=1e-9)
 
     def test_index_out_of_range(self, cfg):
         with pytest.raises(DomainError):

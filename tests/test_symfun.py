@@ -1,0 +1,140 @@
+"""Tests for the leave-one-out coefficient engine, against brute force
+elementary symmetric sums and the closed form of equal factors."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lpvol.errors import DomainError
+from lpvol.logspace import logsumexp_arr
+from lpvol.symfun import batched_loo_log, elementary_symmetric
+
+
+def _offset_rows(rng, t_rows, n):
+    """Log inputs: a per-row offset in [-300, 300] for each of v, u, w,
+    plus a per-factor spread.  Returns (offsets, spreads), each (3, T, n)
+    broadcastable, so that log = offset + spread."""
+    offsets = rng.uniform(-300.0, 300.0, size=(3, t_rows, 1))
+    spreads = rng.normal(0.0, 2.0, size=(3, t_rows, n))
+    return offsets, spreads
+
+
+def _brute_force(offsets, spreads, m, drop=None):
+    """sum_i w_i (prod_{r != i} v_r) e_(m-1)({u_r / v_r}_{r != i}) in log
+    space, with the row offsets of v and u factored out of the products so
+    that elementary_symmetric only sees moderate values."""
+    (ov, ou, ow), (sv, su, sw) = offsets, spreads
+    t_rows, n = sv.shape
+    out = np.empty(t_rows)
+    for t in range(t_rows):
+        terms = []
+        for i in range(n):
+            if i == drop:
+                continue
+            keep = np.arange(n) != i
+            e = elementary_symmetric(np.exp(su[t, keep] - sv[t, keep]))
+            terms.append(ow[t, 0] + sw[t, i] + (n - 1) * ov[t, 0]
+                         + sv[t, keep].sum()
+                         + (m - 1) * (ou[t, 0] - ov[t, 0])
+                         + math.log(e[m - 1]))
+        out[t] = logsumexp_arr(np.array(terms))
+    return out
+
+
+class TestBatchedLooLog:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        offsets, spreads = _offset_rows(rng, 4, n)
+        logv, logu, logw = offsets + spreads
+        for m in range(1, n + 1):
+            got = batched_loo_log(logv, logu, logw, m)
+            want = _brute_force(offsets, spreads, m)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+    def test_minus_infinity_weight_drops_its_term(self):
+        rng = np.random.default_rng(11)
+        n = 6
+        offsets, spreads = _offset_rows(rng, 3, n)
+        logv, logu, logw = offsets + spreads
+        logw[:, 2] = -np.inf
+        for m in range(1, n + 1):
+            got = batched_loo_log(logv, logu, logw, m)
+            want = _brute_force(offsets, spreads, m, drop=2)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+    def test_zero_u_factor_matches_brute_force(self):
+        # u_r = 0 leaves factor r constant; the z balance must skip its
+        # infinite log ratio
+        rng = np.random.default_rng(12)
+        n = 6
+        offsets, spreads = _offset_rows(rng, 3, n)
+        spreads[1, :, 4] = -np.inf
+        logv, logu, logw = offsets + spreads
+        for m in range(1, n):
+            got = batched_loo_log(logv, logu, logw, m)
+            want = _brute_force(offsets, spreads, m)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+    def test_all_weights_minus_infinity_give_minus_infinity(self):
+        zeros = np.zeros((2, 5))
+        got = batched_loo_log(zeros, zeros, np.full((2, 5), -np.inf), 3)
+        assert np.all(got == -np.inf)
+
+    def test_two_zero_factors_at_order_one_give_minus_infinity(self):
+        # every term keeps one v_r = 0, so both parts vanish before the
+        # first rescale, which must not divide by their zero maximum
+        logv = np.zeros((2, 20))
+        logv[:, :2] = -np.inf
+        got = batched_loo_log(logv, np.zeros((2, 20)), np.zeros((2, 20)), 1)
+        assert np.all(got == -np.inf)
+
+    @pytest.mark.parametrize("m", [2, 1000, 1990])
+    def test_equal_factors_match_closed_form(self, m):
+        # n w C(n-1, m-1) v^(n-m) u^(m-1) for rows of equal factors; the
+        # binomial reaches e^1380 at m = 1000, far past float range, and at
+        # m = 1990 z^(m-1) lies e^1300 below the middle coefficients unless
+        # z is balanced toward it
+        t_rows, n = 3, 2000
+        lv = np.array([-40.0, 0.0, 25.0])
+        lu = np.array([10.0, 0.0, -300.0])
+        lw = np.array([5.0, 0.0, 100.0])
+        full = np.ones((t_rows, n))
+        got = batched_loo_log(lv[:, None] * full, lu[:, None] * full,
+                              lw[:, None] * full, m)
+        log_choose = (math.lgamma(n) - math.lgamma(m)
+                      - math.lgamma(n - m + 1))
+        want = (math.log(n) + lw + log_choose + (n - m) * lv
+                + (m - 1) * lu)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_memory_stays_linear_in_the_order(self):
+        rng = np.random.default_rng(5)
+        t_rows, n, m = 50, 400, 200
+        logv, logu, logw = rng.normal(0.0, 1.0, size=(3, t_rows, n))
+        tracemalloc.start()
+        try:
+            batched_loo_log(logv, logu, logw, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_shape_and_order_checked(self):
+        ok = np.zeros((2, 4))
+        with pytest.raises(DomainError):
+            batched_loo_log(ok, np.zeros((2, 3)), ok, 1)
+        with pytest.raises(DomainError):
+            batched_loo_log(ok[0], ok[0], ok[0], 1)
+        for m in (0, 5):
+            with pytest.raises(DomainError):
+                batched_loo_log(ok, ok, ok, m)
+
+    def test_factor_without_magnitude_rejected(self):
+        logv = np.zeros((1, 3))
+        logv[0, 1] = -np.inf
+        logu = logv.copy()
+        with pytest.raises(DomainError):
+            batched_loo_log(logv, logu, np.zeros((1, 3)), 2)
