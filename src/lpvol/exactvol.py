@@ -4,7 +4,7 @@ p-balls  B = { x : sum_i |a_i x_i|^p <= 1 },  p > 1.
 Every quantity is a single absolutely convergent integral over an
 auxiliary variable theta in (0, inf), with the integrand built from the
 F-family; the integrals are evaluated in log space so dimensions in the
-hundreds pose no scaling problem.
+thousands pose no scaling problem.
 
 Two independent routes are implemented on purpose.  The unit-weight route
 expresses V_j through powers I^j J^(n-j-1) K; the weighted route expands
@@ -35,6 +35,8 @@ __all__ = [
     "mean_projection_volume", "kubota_projection_factor",
     "steiner_polynomial",
 ]
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +132,8 @@ class IntrinsicVolumeResult:
 
     value is a positive log-scale number; theta_nodes counts integrand
     evaluations of the outer integral; est_rel_error is the quadrature
-    error estimate relative to the value.
+    error estimate relative to the value plus the rounding of its log
+    terms.
     """
 
     value: LogValue
@@ -151,6 +154,14 @@ def volume(spec: PBallSpec) -> LogValue:
              - math.lgamma(1.0 + n / p)
              - float(np.log(spec.weights).sum()))
     return LogValue.from_log(log_v)
+
+
+def _rounding_rel_error(log_pre, log_int: float) -> float:
+    """Relative error of exp(sum(log_pre) + log_int) from rounding its
+    log terms: eps per unit of log magnitude.  In the thousands of
+    dimensions the lgamma terms reach n log n and this exceeds the
+    quadrature error."""
+    return _EPS * (sum(abs(t) for t in log_pre) + abs(log_int))
 
 
 def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
@@ -182,33 +193,42 @@ def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
     s_tail = (j + p) / (2.0 * p - 2.0)
     log_int, log_err, nodes = log_theta_integral(
         0.5 * m - 1.0, log_smooth, s_tail, cfg)
-    log_pre = (math.log(p) + (n - j - 1) * math.log(p - 1.0)
-               + log_choose(n, j) - log_kappa(m)
-               - math.lgamma(1.0 + j / p) - math.lgamma(0.5 * m))
+    pre = (math.log(p), (n - j - 1) * math.log(p - 1.0), log_choose(n, j),
+           -log_kappa(m), -math.lgamma(1.0 + j / p), -math.lgamma(0.5 * m))
     return IntrinsicVolumeResult(
-        LogValue.from_log(log_pre + log_int), j, nodes,
-        math.exp(log_err - log_int))
+        LogValue.from_log(sum(pre) + log_int), j, nodes,
+        math.exp(log_err - log_int) + _rounding_rel_error(pre, log_int))
 
 
-def _coordinate_log_f(spec: PBallSpec, columns, cfg: QuadConfig):
+def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
+                      cfg: QuadConfig):
     """F-table gather over coordinate groups.
 
-    columns is a list of per-coordinate nu arrays (length n each).  The
-    returned function maps a theta batch (T,) to one (T, n) array of
-    log F(theta a_k^2; nu_k) per column, with one F-table call over the
-    distinct a_k^2 and the distinct nu values of all columns.
+    Coordinate k reads log F(theta a_k^2; lam_k + o) for each offset o.
+    Coordinates with equal (a_k, lam_k) form one group, in order of first
+    appearance.  Returns (gather, counts, a2): gather maps a theta batch
+    (T,) to one (T, G) array per offset, with one F-table call over the
+    distinct a_k^2 and the distinct nu values of all offsets; counts[g]
+    is the size of group g and a2[g] its a_k^2.
     """
-    ua2, gidx = np.unique(spec.weights ** 2, return_inverse=True)
-    unus, nidx = np.unique(np.concatenate(columns), return_inverse=True)
+    ua2, aidx = np.unique(spec.weights ** 2, return_inverse=True)
+    ulam, lidx = np.unique(lam, return_inverse=True)
+    _, first, counts = np.unique(aidx * len(ulam) + lidx, return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    first, counts = first[order], counts[order]
+    gidx = aidx[first]
+    unus, nidx = np.unique(np.concatenate([lam[first] + o for o in offsets]),
+                           return_inverse=True)
 
     def gather(th):
         th = np.asarray(th, dtype=float)
         ts = np.outer(th, ua2).reshape(-1)
         tab = f_family_log_table(spec.p, ts, unus, cfg).reshape(
             len(th), len(ua2), len(unus))
-        return [tab[:, gidx, idx] for idx in nidx.reshape(len(columns), -1)]
+        return [tab[:, gidx, idx] for idx in nidx.reshape(len(offsets), -1)]
 
-    return gather
+    return gather, counts, ua2[gidx]
 
 
 def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
@@ -218,22 +238,24 @@ def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
     Integrand at each theta: the leave-one-out coefficient sum over
     triples (v_k, u_k, w_k) = (F(th a_k^2; mu_k), a_k^2 F(.; mu_k+p-2),
     a_k^2 F(.; mu_k+2p-2)) with mu_k = lambda_k, coefficient order m,
-    times theta^(m/2-1).  At m = 1 the order-0 coefficient never reads
-    u_k, so that column (whose nu can fall to -1 or below when p < 2) is
-    not requested.  Returns (log integral, rel err, nodes).
+    times theta^(m/2-1); coordinates with equal (a_k, lambda_k) enter
+    the engine once, as one group.  At m = 1 the order-0 coefficient
+    never reads u_k, so that column (whose nu can fall to -1 or below
+    when p < 2) is not requested.  Returns (log integral, log error,
+    nodes).
     """
     p, n = spec.p, spec.n
-    log_a2 = np.log(spec.weights ** 2)
-    nus = [lam, lam + (2.0 * p - 2.0)]
+    offsets = [0.0, 2.0 * p - 2.0]
     if m > 1:
-        nus.append(lam + (p - 2.0))
-    gather = _coordinate_log_f(spec, nus, cfg)
+        offsets.append(p - 2.0)
+    gather, counts, a2 = _coordinate_log_f(spec, lam, offsets, cfg)
+    log_a2 = np.log(a2)
 
     def log_smooth(th):
         cols = gather(th)
         logv, logw = cols[0], log_a2 + cols[1]
         logu = log_a2 + cols[2] if m > 1 else logv
-        return batched_loo_log(logv, logu, logw, m)
+        return batched_loo_log(logv, logu, logw, m, counts)
 
     s_tail = (float(lam.sum()) + (n - m) + p) / (2.0 * p - 2.0)
     return log_theta_integral(0.5 * m - 1.0, log_smooth, s_tail, cfg)
@@ -245,11 +267,13 @@ def _moment_log(spec: PBallSpec, req: MomentRequest, cfg: QuadConfig):
     lam = req.padded(n)
     total = float(lam.sum())
     log_int, log_err, nodes = _moment_theta_integral(spec, m, lam, cfg)
-    log_pre = (math.log(p) + (m - 1) * math.log(p - 1.0) - math.log(m)
-               - log_kappa(m) - math.lgamma((n + total + p - m) / p)
-               - math.lgamma(0.5 * m)
-               - float(((lam + 1.0) * np.log(spec.weights)).sum()))
-    return log_pre + log_int, math.exp(log_err - log_int), nodes
+    pre = (math.log(p), (m - 1) * math.log(p - 1.0), -math.log(m),
+           -log_kappa(m), -math.lgamma((n + total + p - m) / p),
+           -math.lgamma(0.5 * m),
+           -float(((lam + 1.0) * np.log(spec.weights)).sum()))
+    return (sum(pre) + log_int,
+            math.exp(log_err - log_int) + _rounding_rel_error(pre, log_int),
+            nodes)
 
 
 def intrinsic_volume_weighted(spec: PBallSpec, j: int,
@@ -324,9 +348,10 @@ def key_integral(spec: PBallSpec, alpha: float,
             f"alpha={alpha} outside the convergence strip "
             f"(0, {float((al + 1.0).sum()) / (p - 1.0)})")
     mu = (n + float(al.sum()) - alpha * (p - 1.0)) / p
-    gather = _coordinate_log_f(spec, [al], cfg)
+    gather, counts, _ = _coordinate_log_f(spec, al, [0.0], cfg)
     log_int, _, _ = log_theta_integral(
-        0.5 * alpha - 1.0, lambda th: gather(th)[0].sum(axis=1), s_tail, cfg)
+        0.5 * alpha - 1.0, lambda th: (gather(th)[0] * counts).sum(axis=1),
+        s_tail, cfg)
     log_pre = (math.log(p) - math.lgamma(mu) - math.lgamma(0.5 * alpha)
                - float(((al + 1.0) * np.log(spec.weights)).sum()))
     return math.exp(log_pre + log_int)

@@ -6,6 +6,9 @@ trend or tolerance based rather than exact, the test name says so.
 Monotone-gap checks carry a 1e-9 noise floor because the p = 2 body is
 the round ball, whose gaps are identically zero up to quadrature noise.
 
+Criterion 11 has two tests: the trend of the limit-law gaps for n up to
+64, and the exact p = 2 moments for n up to 8192.
+
 Criterion 3 measures the cube and crosspolytope limits on the p ladders
 64, 128, 256 and 1.02, 1.01, 1.005: the closed-form volume alone puts
 p = 1.05 51% away from the crosspolytope at n = 6, so proximity is
@@ -374,6 +377,26 @@ def test_criterion_11_maxwell_convergence_trend_and_ks(cfg):
     details.append(f"KS cube {d_cube:.4f}, crosspolytope {d_cross:.4f}")
     _report(11, "limit-law gaps shrink with n; samplers pass KS <= 0.02",
             ok, "; ".join(details))
+
+
+def test_criterion_11_sphere_moments_exact_up_to_n_8192(cfg):
+    # exact, not trend-based: at p = 2 the j-face measure is uniform on the
+    # sphere, so n E|X_1|^2 = n G(n/2) G(3/2) / (sqrt(pi) G(n/2 + 1)) = 1
+    # for every j; each row must meet it within its own error estimate,
+    # in all three regimes and at n in the thousands
+    ns = [64 * 2 ** k for k in range(8)]
+    worst, misses = 0.0, []
+    for regime, kw in (("bulk", {"alpha": 0.5}), ("left", {"j": 2}),
+                       ("right", {"m": 3})):
+        for row in convergence_table(2.0, regime, [2.0], ns, cfg=cfg, **kw):
+            dev = abs(row.scaled_moment - 1.0)
+            worst = max(worst, dev / row.est_rel_error)
+            if not dev <= row.est_rel_error:
+                misses.append(f"{regime} n={row.n}: {dev:.1e} > "
+                              f"{row.est_rel_error:.1e}")
+    _report(11, "p=2 scaled moments exact to n=8192 within est_rel_error",
+            not misses, "; ".join(misses) or
+            f"worst deviation {worst:.2f} of its error")
 
 
 def test_criterion_12_identity_suite():

@@ -1,5 +1,6 @@
 """Tests for the leave-one-out coefficient engine, against brute force
-elementary symmetric sums and the closed form of equal factors."""
+elementary symmetric sums, the closed form of equal factors and its own
+ungrouped pass."""
 
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 from lpvol.errors import DomainError
 from lpvol.logspace import logsumexp_arr
+from lpvol.specfun import f_family_log_table
 from lpvol.symfun import batched_loo_log, elementary_symmetric
 
 
@@ -41,6 +43,21 @@ def _brute_force(offsets, spreads, m, drop=None):
                          + math.log(e[m - 1]))
         out[t] = logsumexp_arr(np.array(terms))
     return out
+
+
+def _check_equal_factors(m, grouped):
+    """n w C(n-1, m-1) v^(n-m) u^(m-1) for rows of n = 2000 equal
+    factors, given as n columns or as one group of n."""
+    t_rows, n = 3, 2000
+    lv = np.array([-40.0, 0.0, 25.0])
+    lu = np.array([10.0, 0.0, -300.0])
+    lw = np.array([5.0, 0.0, 100.0])
+    full = np.ones((t_rows, 1 if grouped else n))
+    got = batched_loo_log(lv[:, None] * full, lu[:, None] * full,
+                          lw[:, None] * full, m, [n] if grouped else None)
+    log_choose = math.lgamma(n) - math.lgamma(m) - math.lgamma(n - m + 1)
+    want = math.log(n) + lw + log_choose + (n - m) * lv + (m - 1) * lu
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestBatchedLooLog:
@@ -93,22 +110,10 @@ class TestBatchedLooLog:
 
     @pytest.mark.parametrize("m", [2, 1000, 1990])
     def test_equal_factors_match_closed_form(self, m):
-        # n w C(n-1, m-1) v^(n-m) u^(m-1) for rows of equal factors; the
-        # binomial reaches e^1380 at m = 1000, far past float range, and at
-        # m = 1990 z^(m-1) lies e^1300 below the middle coefficients unless
-        # z is balanced toward it
-        t_rows, n = 3, 2000
-        lv = np.array([-40.0, 0.0, 25.0])
-        lu = np.array([10.0, 0.0, -300.0])
-        lw = np.array([5.0, 0.0, 100.0])
-        full = np.ones((t_rows, n))
-        got = batched_loo_log(lv[:, None] * full, lu[:, None] * full,
-                              lw[:, None] * full, m)
-        log_choose = (math.lgamma(n) - math.lgamma(m)
-                      - math.lgamma(n - m + 1))
-        want = (math.log(n) + lw + log_choose + (n - m) * lv
-                + (m - 1) * lu)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # the binomial reaches e^1380 at m = 1000, far past float range, and
+        # at m = 1990 z^(m-1) lies e^1300 below the middle coefficients
+        # unless z is balanced toward it
+        _check_equal_factors(m, grouped=False)
 
     def test_memory_stays_linear_in_the_order(self):
         rng = np.random.default_rng(5)
@@ -132,9 +137,111 @@ class TestBatchedLooLog:
             with pytest.raises(DomainError):
                 batched_loo_log(ok, ok, ok, m)
 
+    def test_counts_checked(self):
+        ok = np.zeros((2, 3))
+        for counts in ([2, 2], [2, 2, 2, 2], [2, 0, 2], [2, -1, 2],
+                       [1.5, 1.0, 1.0]):
+            with pytest.raises(DomainError):
+                batched_loo_log(ok, ok, ok, 1, counts)
+        batched_loo_log(ok, ok, ok, 6, [1, 2, 3])
+        with pytest.raises(DomainError):
+            batched_loo_log(ok, ok, ok, 7, [1, 2, 3])
+
     def test_factor_without_magnitude_rejected(self):
         logv = np.zeros((1, 3))
         logv[0, 1] = -np.inf
         logu = logv.copy()
         with pytest.raises(DomainError):
             batched_loo_log(logv, logu, np.zeros((1, 3)), 2)
+
+
+def _expanded(counts, *logs):
+    return [np.repeat(x, counts, axis=1) for x in logs]
+
+
+def _log_scale(counts, logv, logu, logw):
+    """The size of the logs the engine sums: sum_r max(|log v_r|,
+    |log u_r|) plus the largest |log w|.  Both passes round at this scale,
+    which the result can lie far below when the offsets cancel."""
+    big = np.maximum(np.abs(logv), np.abs(logu))
+    big = np.where(np.isfinite(big), big, 0.0)
+    lw = np.where(np.isfinite(logw), np.abs(logw), 0.0)
+    return (big * counts).sum(axis=1) + lw.max(axis=1)
+
+
+class TestGroupedLooLog:
+    """Column g of a grouped call stands for counts[g] equal factors; it
+    must give the same sum as the expanded call with the column repeated,
+    while the pass starts from the closed form of the largest group."""
+
+    def _check(self, counts, logv, logu, logw, m):
+        got = batched_loo_log(logv, logu, logw, m, counts)
+        want = batched_loo_log(*_expanded(counts, logv, logu, logw), m)
+        tol = 1e-12 + 1e-14 * _log_scale(counts, logv, logu, logw)
+        with np.errstate(invalid="ignore"):  # -inf on both sides
+            diff = np.abs(got - want)
+        assert np.all((got == want) | (diff <= tol)), (counts, m, diff)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_expanded_factors(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        seen = set()
+        for _ in range(20):
+            groups = int(rng.integers(1, 6))
+            counts = rng.integers(1, 60, size=groups)
+            n = int(counts.sum())
+            offsets, spreads = _offset_rows(rng, 3, groups)
+            for m in sorted({1, min(2, n), max(n // 2, 1), max(n - 1, 1), n}):
+                self._check(counts, *(offsets + spreads), m)
+                seen.add(bool(counts.max() >= m))
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("big", [0, 2])
+    def test_minus_infinity_weight_group_drops_its_term(self, big):
+        # the dropped group is the largest (closed-form start) or not
+        rng = np.random.default_rng(21)
+        counts = np.array([3, 9, 5])
+        counts[[1, big]] = counts[[big, 1]]
+        offsets, spreads = _offset_rows(rng, 3, 3)
+        logv, logu, logw = offsets + spreads
+        logw[:, big] = -np.inf
+        for m in range(1, counts.sum() + 1):
+            self._check(counts, logv, logu, logw, m)
+
+    @pytest.mark.parametrize("big", [0, 2])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_zero_v_or_u_group(self, big, part):
+        # a group of factors z u (part 0) or v (part 1); orders past what
+        # the zeros allow give -inf on both sides
+        rng = np.random.default_rng(22)
+        counts = np.array([3, 9, 5])
+        counts[[1, big]] = counts[[big, 1]]
+        offsets, spreads = _offset_rows(rng, 3, 3)
+        spreads[part, :, big] = -np.inf
+        for m in range(1, counts.sum() + 1):
+            self._check(counts, *(offsets + spreads), m)
+
+    @pytest.mark.parametrize("m", [2, 1000, 1990])
+    def test_one_group_matches_closed_form(self, m):
+        _check_equal_factors(m, grouped=True)
+
+    def test_all_weights_minus_infinity_give_minus_infinity(self):
+        zeros = np.zeros((2, 3))
+        got = batched_loo_log(zeros, zeros, np.full((2, 3), -np.inf), 4,
+                              [2, 5, 1])
+        assert np.all(got == -np.inf)
+
+    def test_unit_ball_rows_match_ungrouped_pass(self):
+        # the weighted route groups the unit ball into one closed form, so
+        # the factor-by-factor pass is checked here on the same F columns:
+        # (v, u, w) = (F(th; 0), F(th; p-2), F(th; 2p-2)) at p = 3, n = 160
+        p, n = 3.0, 160
+        theta = np.array([1e-3, 0.1, 1.0, 10.0, 1e3])
+        tab = f_family_log_table(p, theta, np.array([0.0, p - 2.0,
+                                                     2.0 * p - 2.0]))
+        logv, logu, logw = (tab[:, k, None] for k in range(3))
+        for m in (1, 2, 80, 159, 160):
+            grouped = batched_loo_log(logv, logu, logw, m, [n])
+            flat = batched_loo_log(*_expanded([n], logv, logu, logw), m)
+            # logs within 1e-12: the sums agree to 1e-12 relative
+            np.testing.assert_allclose(flat, grouped, rtol=0.0, atol=1e-12)
