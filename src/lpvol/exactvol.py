@@ -4,7 +4,12 @@ p-balls  B = { x : sum_i |a_i x_i|^p <= 1 },  p > 1.
 Every quantity is a single absolutely convergent integral over an
 auxiliary variable theta in (0, inf), with the integrand built from the
 F-family; the integrals are evaluated in log space so dimensions in the
-thousands pose no scaling problem.
+thousands pose no scaling problem.  The F values come from the
+interpolant f_family_log_interp, which reports a bound eps_nu on the
+error of each log F column.  A log integrand that adds up k_nu log F
+values of column nu is off by at most sum_nu k_nu eps_nu, so
+est_rel_error adds expm1 of j eps_0 + (m-1) eps_(p-2) + eps_(2p-2) on the
+unit route and of n max eps on the weighted route.
 
 Two independent routes are implemented on purpose.  The unit-weight route
 expresses V_j through powers I^j J^(n-j-1) K; the weighted route expands
@@ -22,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, OverflowGuard
-from .logspace import LogValue
+from .logspace import LogValue, log_add
 from .quadrature import log_theta_integral
-from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
+from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_interp,
                       kappa, log_choose, log_kappa)
 from .symfun import batched_loo_log
 
@@ -132,8 +137,8 @@ class IntrinsicVolumeResult:
 
     value is a positive log-scale number; theta_nodes counts integrand
     evaluations of the outer integral; est_rel_error is the quadrature
-    error estimate relative to the value plus the rounding of its log
-    terms.
+    error estimate relative to the value, widened by the F-interpolant
+    bound, plus the rounding of its log terms.
     """
 
     value: LogValue
@@ -164,6 +169,16 @@ def _rounding_rel_error(log_pre, log_int: float) -> float:
     return _EPS * (sum(abs(t) for t in log_pre) + abs(log_int))
 
 
+def _with_f_error(log_int: float, log_err: float, log_f_err: float
+                      ) -> float:
+    """log_err of a theta integral widened by the F-interpolant error: an
+    integrand whose log is off by at most log_f_err is off by at most
+    expm1(log_f_err) relative, and so is its integral."""
+    if log_f_err <= 0.0:
+        return log_err
+    return log_add(log_err, log_int + math.log(math.expm1(log_f_err)))
+
+
 def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
                      ) -> IntrinsicVolumeResult:
     """V_j of the unit p-ball via the I^j J^(m-1) K theta-integral.
@@ -185,14 +200,18 @@ def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
         return IntrinsicVolumeResult(volume(spec), n, 0, 0.0)
     m = n - j
     nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
+    bound = np.zeros(3)
 
     def log_smooth(th):
-        tab = f_family_log_table(p, th, nus, cfg)
+        tab, err = f_family_log_interp(p, th, nus, cfg)
+        np.maximum(bound, err, out=bound)
         return j * tab[:, 0] + (m - 1) * tab[:, 1] + tab[:, 2]
 
     s_tail = (j + p) / (2.0 * p - 2.0)
     log_int, log_err, nodes = log_theta_integral(
         0.5 * m - 1.0, log_smooth, s_tail, cfg)
+    log_err = _with_f_error(log_int, log_err,
+                                j * bound[0] + (m - 1) * bound[1] + bound[2])
     pre = (math.log(p), (n - j - 1) * math.log(p - 1.0), log_choose(n, j),
            -log_kappa(m), -math.lgamma(1.0 + j / p), -math.lgamma(0.5 * m))
     return IntrinsicVolumeResult(
@@ -207,9 +226,10 @@ def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
     Coordinate k reads log F(theta a_k^2; lam_k + o) for each offset o.
     Coordinates with equal (a_k, lam_k) form one group, in order of first
     appearance.  Returns (gather, counts, a2): gather maps a theta batch
-    (T,) to one (T, G) array per offset, with one F-table call over the
-    distinct a_k^2 and the distinct nu values of all offsets; counts[g]
-    is the size of group g and a2[g] its a_k^2.
+    (T,) to one (T, G) array per offset and the largest error bound on
+    those log F values, with one interpolant call over the distinct
+    a_k^2 and the distinct nu values of all offsets; counts[g] is the
+    size of group g and a2[g] its a_k^2.
     """
     ua2, aidx = np.unique(spec.weights ** 2, return_inverse=True)
     ulam, lidx = np.unique(lam, return_inverse=True)
@@ -224,9 +244,10 @@ def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
     def gather(th):
         th = np.asarray(th, dtype=float)
         ts = np.outer(th, ua2).reshape(-1)
-        tab = f_family_log_table(spec.p, ts, unus, cfg).reshape(
-            len(th), len(ua2), len(unus))
-        return [tab[:, gidx, idx] for idx in nidx.reshape(len(offsets), -1)]
+        tab, err = f_family_log_interp(spec.p, ts, unus, cfg)
+        tab = tab.reshape(len(th), len(ua2), len(unus))
+        return ([tab[:, gidx, idx] for idx in nidx.reshape(len(offsets), -1)],
+                float(err.max()))
 
     return gather, counts, ua2[gidx]
 
@@ -242,7 +263,8 @@ def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
     the engine once, as one group.  At m = 1 the order-0 coefficient
     never reads u_k, so that column (whose nu can fall to -1 or below
     when p < 2) is not requested.  Returns (log integral, log error,
-    nodes).
+    nodes); the error includes n times the largest F-interpolant bound,
+    since n F-values multiply in every term.
     """
     p, n = spec.p, spec.n
     offsets = [0.0, 2.0 * p - 2.0]
@@ -250,15 +272,20 @@ def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
         offsets.append(p - 2.0)
     gather, counts, a2 = _coordinate_log_f(spec, lam, offsets, cfg)
     log_a2 = np.log(a2)
+    bound = 0.0
 
     def log_smooth(th):
-        cols = gather(th)
+        nonlocal bound
+        cols, err = gather(th)
+        bound = max(bound, err)
         logv, logw = cols[0], log_a2 + cols[1]
         logu = log_a2 + cols[2] if m > 1 else logv
         return batched_loo_log(logv, logu, logw, m, counts)
 
     s_tail = (float(lam.sum()) + (n - m) + p) / (2.0 * p - 2.0)
-    return log_theta_integral(0.5 * m - 1.0, log_smooth, s_tail, cfg)
+    log_int, log_err, nodes = log_theta_integral(0.5 * m - 1.0, log_smooth,
+                                                 s_tail, cfg)
+    return log_int, _with_f_error(log_int, log_err, n * bound), nodes
 
 
 def _moment_log(spec: PBallSpec, req: MomentRequest, cfg: QuadConfig):
@@ -350,7 +377,8 @@ def key_integral(spec: PBallSpec, alpha: float,
     mu = (n + float(al.sum()) - alpha * (p - 1.0)) / p
     gather, counts, _ = _coordinate_log_f(spec, al, [0.0], cfg)
     log_int, _, _ = log_theta_integral(
-        0.5 * alpha - 1.0, lambda th: (gather(th)[0] * counts).sum(axis=1),
+        0.5 * alpha - 1.0,
+        lambda th: (gather(th)[0][0] * counts).sum(axis=1),
         s_tail, cfg)
     log_pre = (math.log(p) - math.lgamma(mu) - math.lgamma(0.5 * alpha)
                - float(((al + 1.0) * np.log(spec.weights)).sum()))

@@ -40,12 +40,40 @@ upper limit.  When that limit exceeds the split point by more than a
 factor 1e4, the piece above the split is integrated in y = log z instead,
 each (t, nu) component over its own window around the peak of its
 concave log-integrand, and kept in log form, since the value can exceed
-a double.
+a double.  Each log value comes with a bound on its error, from the GK
+error estimates of its pieces.
+
+The theta integrals do not call that table per node.  They read F from
+f_family_log_interp: for one p, one set of nu columns and one config, a
+piecewise Chebyshev interpolant of degree 40 in y = log1p(t) of
+
+    g(y) = log F_p(t; nu) + s y,    s = (nu+1)/(2p-2),
+
+which is bounded as t -> inf (the asymptote above), exactly constant at
+p = 2 (F = Gamma(s) (1+t)^(-s)), and has no seam at t = 1.  Panels
+start from the breaks y = 0, 1, 2.5, 5, 10, 18, log1p(1e12), then double
+in y up to the largest finite t, and are built only when a t first needs
+them, with node values from the direct table.  A panel is halved while
+its chopped tail, the sum of its top 10 Chebyshev coefficients, exceeds
+1e-14 max(1, |g|) in some column, unless halving does not shrink that
+tail 4x: then the tail is the node values' own noise (a plateau), and it
+stays in the bound.  Each column carries, as the largest over built
+panels, the bound tail + Lambda * node error on |error in log F|, where
+the node error is the table's GK estimate plus the rounding of the log
+terms that cancel in g, and Lambda = 1 + (2/pi) log(41) bounds the
+Lebesgue constant.  Values are the barycentric formula of the second
+kind on the panel's Chebyshev points, one matrix product per panel and
+block of rows.  The direct table stays the node evaluator, the
+reference the tests hold to mpmath, and, through the row cache of
+f_family_log_table, the evaluator of the scalar callers (asymptotics,
+maxwell).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,7 +85,8 @@ from .roots import solve_increasing
 
 __all__ = [
     "QuadConfig", "DEFAULT_CONFIG", "PExponent", "as_exponent",
-    "f_family", "f_family_log", "f_family_log_table", "ijkl", "IJKL",
+    "f_family", "f_family_log", "f_family_log_table", "f_family_log_interp",
+    "ijkl", "IJKL",
     "f_family_at_zero", "f_family_at_zero_log",
     "f_family_large_t", "LargeTAsymptote",
     "log_gamma", "log_choose", "kappa", "log_kappa",
@@ -222,7 +251,7 @@ _LOG_WINDOW = 40.0
 
 def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
     """log of integral_(e^y_lo)^(e^y_hi) u^nu exp(-c u^e_c - u^e_1) du per
-    (row, nu), integrated in y = log u.
+    (row, nu), integrated in y = log u, and its relative error.
 
     Used when [e^y_lo, e^y_hi] spans so many decades (p near 1, where the
     rescaled z^p coefficient is tiny) that a linear-u rule on one shared
@@ -234,6 +263,7 @@ def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
     below 2 exp(-_LOG_WINDOW) of the total.  solve_increasing finds the
     peak as the root of -h' (with -h'') and each window end as the root
     of +-(h - top + _LOG_WINDOW) (with +-h') on its side of the peak.
+    The error is the GK estimate plus that window bound.
     """
     k, m = len(log_cs), len(nus)
     log_c = log_cs[:, None, None]
@@ -267,9 +297,11 @@ def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
     def f(x):
         return np.exp(h(a + (b - a) * x) - top).reshape(k * m, -1)
 
-    piece = gk(f, 0.0, 1.0).reshape(k, m, 1)
+    piece, err = gk(f, 0.0, 1.0)
+    piece = piece.reshape(k, m)
     with np.errstate(divide="ignore"):
-        return (top + np.log((b - a) * piece))[:, :, 0]
+        log_piece = top[:, :, 0] + np.log((b - a)[:, :, 0] * piece)
+    return log_piece, err.reshape(k, m) / piece + 2.0 * math.exp(-_LOG_WINDOW)
 
 
 def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
@@ -277,10 +309,11 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
 
     cs: per-row coefficients (k,), with their logs log_cs (exact even
     where cs underflows); nus: column exponents (m,), each > -1.  Returns
-    (k, m) of log values.  All rows and columns share one adaptive grid
-    per piece.  When the upper limit exceeds the split point by more than
-    exp(_LOG_WIDE_SPAN), the piece above the split is integrated in log u
-    by _log_u_piece.
+    (k, m) log values and (k, m) bounds on their absolute error, from the
+    GK error estimates of the pieces.  All rows and columns share one
+    adaptive grid per piece.  When the upper limit exceeds the split
+    point by more than exp(_LOG_WIDE_SPAN), the piece above the split is
+    integrated in log u by _log_u_piece.
     """
     cs = np.asarray(cs, dtype=float)
     log_cs = np.asarray(log_cs, dtype=float)
@@ -294,9 +327,10 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
 
     def gk(f, lo, hi):
         return quad_gk(f, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                       max_subdivisions=cfg.max_subdivisions)[0]
+                       max_subdivisions=cfg.max_subdivisions)[:2]
 
     vals = np.zeros((k, m))
+    errs = np.zeros((k, m))
 
     def add_direct(sel, lo, hi):
         nus_sel = nus[sel]
@@ -308,14 +342,17 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
             return (ker[:, None, :] * pw[None, :, :]).reshape(
                 k * len(nus_sel), -1)
 
-        vals[:, sel] += gk(f, lo, hi).reshape(k, len(nus_sel))
+        val, err = gk(f, lo, hi)
+        vals[:, sel] += val.reshape(k, len(nus_sel))
+        errs[:, sel] += err.reshape(k, len(nus_sel))
 
     log_wide = None
     y_split = math.log(_SPLIT)
     if log_hi - y_split <= _LOG_WIDE_SPAN:
         add_direct(np.arange(m), _SPLIT, math.exp(min(log_hi, 700.0)))
     else:
-        log_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split, log_hi, gk)
+        log_wide, rel_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split,
+                                          log_hi, gk)
     neg = nus < 0.0
     pos = ~neg
     if pos.any():
@@ -323,9 +360,18 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     if neg.any():
         # nu in (-1, 0): integrate in y = log u on [y0, log split].  Every
         # row has c <= 1, so below y0 the kernel is 1 to double precision
-        # and that part is e^((nu+1) y0)/(nu+1) in closed form.
+        # and that part is e^((nu+1) y0)/(nu+1) in closed form.  Near
+        # p = 1, y0 reaches -21000 while the mass sits within 45/(nu+1)
+        # of the split and the kernel drops within 40/max(e_c, e_1) of
+        # it: one GK15 panel over all of it can read ~0 at every node
+        # and stop.  So the closed form starts at y_a, where every
+        # column's e^((nu+1) y) has fallen e^-45 (below y0 it is exact;
+        # above, what it adds is under 1e-15 of the total), and the
+        # kernel's drop gets its own panel from y_b on.
         q = nus[neg] + 1.0
         y0 = min(y_split, -61.0 * _LOG2 / min(e_c, e_1))
+        y_a = max(y0, y_split - 45.0 / q.min())
+        y_b = max(y_a, y_split - 40.0 / max(e_c, e_1))
 
         def f_neg(y):
             # u^e as exp(e y): u = e^y itself underflows below y = -745
@@ -334,38 +380,39 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
             pw = np.exp(np.outer(q, y))
             return (ker[:, None, :] * pw[None, :, :]).reshape(k * len(q), -1)
 
-        head = np.exp(q * y0) / q
-        if y0 < y_split:
-            head = head + gk(f_neg, y0, y_split).reshape(k, len(q))
-        vals[:, neg] += head
-    with np.errstate(divide="ignore"):
+        vals[:, neg] += np.exp(q * y_a) / q
+        for lo, hi in ((y_a, y_b), (y_b, y_split)):
+            if lo < hi:
+                val, err = gk(f_neg, lo, hi)
+                vals[:, neg] += val.reshape(k, len(q))
+                errs[:, neg] += err.reshape(k, len(q))
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(vals)
+        rel = errs / vals
     if log_wide is not None:
-        out = np.logaddexp(log_wide, out)
-    if not np.isfinite(out).all():
+        total = np.logaddexp(log_wide, out)
+        with np.errstate(invalid="ignore"):
+            rel = (rel_wide * np.exp(log_wide - total)
+                   + np.where(vals > 0.0, rel * np.exp(out - total), 0.0))
+        out = total
+    if not (np.isfinite(out).all() and np.isfinite(rel).all()):
         raise QuadratureFailure(
             "core table produced a non-positive or non-finite value")
-    return out
+    return out, rel
 
 
 def f_family_log_table(p, ts, nus, cfg=None):
     """log F_p(t; nu) for every (t, nu) pair; shape (len(ts), len(nus)).
 
-    The workhorse: distinct t values are split into t < 1 (direct) and
-    t >= 1 (rescaled by u = t^(-1/(2p-2)) z) groups, each group solved as
-    one multi-component adaptive integral.  Results are cached per
-    (p, t, nu, config) so repeated theta grids stay cheap.
+    The direct evaluator (_direct_log_table) behind a row cache per
+    (p, t, nu set, config), which serves the scalar callers: their root
+    solves revisit the same t.
     """
     cfg = _cfg(cfg)
     p = as_exponent(p)
     ts = np.asarray(ts, dtype=float)
     nus = np.asarray(nus, dtype=float)
-    if ts.ndim != 1 or nus.ndim != 1:
-        raise DomainError("ts and nus must be one-dimensional")
-    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
-        raise DomainError("t arguments must be finite and >= 0")
-    if not np.all(np.isfinite(nus) & (nus > -1.0)):
-        raise DomainError("nu arguments must be finite and > -1")
+    _check_args(ts, nus)
     uts, t_inv = np.unique(ts, return_inverse=True)
     unus, n_inv = np.unique(nus, return_inverse=True)
     key_tail = (tuple(unus), cfg.cache_key())
@@ -378,29 +425,240 @@ def f_family_log_table(p, ts, nus, cfg=None):
         else:
             out[i] = got
     if miss:
-        tm = uts[miss]
-        small = tm < 1.0
-        rows = np.asarray(miss)
-        e2 = 2.0 * p - 2.0
-        if small.any():
-            tt = tm[small]
-            with np.errstate(divide="ignore"):
-                log_tt = np.log(tt)
-            core = _core_log_table(tt, log_tt, e2, p, unus, cfg)
-            out[rows[small]] = _LOG2 + core
-        if (~small).any():
-            tt = tm[~small]
-            # u = t^(-1/(2p-2)) z:  F = 2 t^(-(nu+1)/(2p-2)) *
-            #     integral z^nu exp(-t^(-p/(2p-2)) z^p - z^(2p-2)) dz
-            log_c = (-p / e2) * np.log(tt)
-            core = _core_log_table(np.exp(log_c), log_c, p, e2, unus, cfg)
-            shift = -np.outer((np.log(tt)) / e2, unus + 1.0)
-            out[rows[~small]] = _LOG2 + core + shift
+        out[miss] = _direct_log_table(p, uts[miss], unus, cfg)[0]
         if len(_CACHE) > _CACHE_LIMIT:
             _CACHE.clear()
         for i in miss:
             _CACHE[(p, uts[i]) + key_tail] = out[i].copy()
     return out[np.ix_(t_inv, n_inv)]
+
+
+def _direct_log_table(p, ts, nus, cfg):
+    """log F_p(t; nu) over distinct ts and nus, shape (len(ts), len(nus)),
+    with a same-shape bound on the absolute error of each log value from
+    the GK error estimates.  t values are split into t < 1 (direct) and
+    t >= 1 (rescaled by u = t^(-1/(2p-2)) z) groups, each group solved as
+    one multi-component adaptive integral."""
+    out = np.empty((len(ts), len(nus)))
+    err = np.empty_like(out)
+    e2 = 2.0 * p - 2.0
+    small = ts < 1.0
+    if small.any():
+        tt = ts[small]
+        with np.errstate(divide="ignore"):
+            log_tt = np.log(tt)
+        core, err[small] = _core_log_table(tt, log_tt, e2, p, nus, cfg)
+        out[small] = _LOG2 + core
+    if (~small).any():
+        tt = ts[~small]
+        # u = t^(-1/(2p-2)) z:  F = 2 t^(-(nu+1)/(2p-2)) *
+        #     integral z^nu exp(-t^(-p/(2p-2)) z^p - z^(2p-2)) dz
+        log_c = (-p / e2) * np.log(tt)
+        core, err[~small] = _core_log_table(np.exp(log_c), log_c, p, e2,
+                                            nus, cfg)
+        out[~small] = _LOG2 + core - np.outer(np.log(tt) / e2, nus + 1.0)
+    return out, err
+
+
+def _check_args(ts, nus):
+    if ts.ndim != 1 or nus.ndim != 1:
+        raise DomainError("ts and nus must be one-dimensional")
+    # min and max are nan when any entry is
+    if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
+        raise DomainError("t arguments must be finite and >= 0")
+    if nus.size and not (nus.min() > -1.0 and nus.max() < math.inf):
+        raise DomainError("nu arguments must be finite and > -1")
+
+
+# ---------------------------------------------------------------------------
+# interpolant in y = log1p(t)
+
+# fixed panel breaks in y; past the last one each new panel doubles y
+_BREAKS = (0.0, 1.0, 2.5, 5.0, 10.0, 18.0, math.log1p(1e12))
+# y of the largest finite double t
+_Y_LIMIT = math.log(np.finfo(float).max)
+_DEGREE = 40
+# a panel's chopped tail is the sum of its top _TAIL Chebyshev coefficients
+_TAIL = 10
+# chop target relative to max(1, |g|) on the panel
+_CHOP_REL = 1e-14
+# a fixed panel is halved at most this many times
+_MAX_DEPTH = 10
+_EPS = float(np.finfo(float).eps)
+# rows per block of the interpolant's evaluation: a block's (rows, N+1)
+# weights stay in cache
+_BLOCK = 1024
+
+
+@functools.cache
+def _chebyshev():
+    """(x, w, tail): the Chebyshev points of the second kind
+    x_j = cos(pi j / N), descending, their barycentric weights (-1)^j
+    halved at both ends, and rows k = N-_TAIL+1..N of the map from node
+    values to Chebyshev coefficients, a_k = (2/N) sum_j'' f_j
+    cos(pi j k / N) halved at k = N.  Built on first use, not at import.
+    """
+    j = np.arange(_DEGREE + 1)
+    x = np.cos(np.pi * j / _DEGREE)
+    w = (-1.0) ** j
+    w[[0, -1]] *= 0.5
+    k = np.arange(_DEGREE - _TAIL + 1, _DEGREE + 1)
+    tail = (2.0 / _DEGREE) * np.cos(np.pi * np.outer(k, j) / _DEGREE) \
+        * np.abs(w)
+    tail[-1] *= 0.5
+    return x, w, tail
+
+
+# bound on the Lebesgue constant of interpolation in those points: node errors
+# grow by at most this factor
+_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_DEGREE + 1.0)
+
+
+class _Fit(NamedTuple):
+    """One panel [a, b]: g at its nodes and per column its chopped tail,
+    the tail's target and the error bound."""
+
+    a: float
+    b: float
+    g: np.ndarray
+    tail: np.ndarray
+    target: np.ndarray
+    bound: np.ndarray
+
+
+class _LogFInterpolant:
+    """Piecewise Chebyshev interpolant of log F_p(t; nu) for one p, one
+    set of nu columns and one config, in y = log1p(t).
+
+    It interpolates g = log F + s y, s = (nu+1)/(2p-2), which is bounded
+    as t -> inf and constant at p = 2.  Panels start from _BREAKS (then
+    doubling y) and are built on first use, up to the largest y asked
+    for; a panel whose chopped tail exceeds its target is halved.
+    panels is (lo, hi, vals): the ends of each built panel and its node
+    values of g, with a last column of ones, replaced as one tuple when
+    panels are added.  error holds per column the largest bound over
+    built panels on |error in log F|.
+    """
+
+    def __init__(self, p, nus, cfg):
+        self.p, self.nus, self.cfg = p, np.asarray(nus), cfg
+        self.slope = (self.nus + 1.0) / (2.0 * p - 2.0)
+        self.panels = (np.empty(0), np.empty(0),
+                       np.empty((0, _DEGREE + 1, len(nus) + 1)))
+        self.error = np.zeros(len(nus))
+        self._lock = threading.Lock()
+
+    def _fit(self, a, b):
+        """Node values of g on [a, b] with, per column, the chopped tail,
+        its target and the bound on |error in log F|."""
+        cheb_x, _, tail_map = _chebyshev()
+        y = 0.5 * (a + b) + 0.5 * (b - a) * cheb_x
+        logf, err = _direct_log_table(self.p, np.expm1(y), self.nus,
+                                      self.cfg)
+        sy = np.outer(y, self.slope)
+        g = logf + sy
+        tail = np.abs(tail_map @ g).sum(axis=0)
+        target = _CHOP_REL * np.maximum(1.0, np.abs(g).max(axis=0))
+        # node error: the table's own estimate plus the rounding of the
+        # log terms that cancel in g
+        node = (err + _EPS * (np.abs(logf) + sy)).max(axis=0)
+        return _Fit(a, b, g, tail, target, tail + _LEBESGUE * node)
+
+    def _panel(self, fit, depth, out):
+        """Append fit, or its halves, to out: a panel whose chopped tail
+        misses the target is halved, and so are its halves in turn,
+        while some missing column's tail falls 4x in both halves.  A
+        tail that halving does not shrink is the node noise (a plateau):
+        the halves are kept as they are, with that tail in their bound.
+        """
+        miss = fit.tail > fit.target
+        if not miss.any() or depth == _MAX_DEPTH:
+            out.append(fit)
+            return
+        mid = 0.5 * (fit.a + fit.b)
+        halves = self._fit(fit.a, mid), self._fit(mid, fit.b)
+        worst = np.maximum(halves[0].tail, halves[1].tail)
+        if (worst[miss] > 0.25 * fit.tail[miss]).all():
+            out.extend(halves)
+            return
+        for half in halves:
+            self._panel(half, depth + 1, out)
+
+    def _extend(self, y_max):
+        """Build panels up to y_max and return the new panels tuple."""
+        with self._lock:
+            lo, hi, vals = self.panels
+            end = hi[-1] if len(hi) else 0.0
+            built = []
+            while end < y_max:
+                nxt = next((b for b in _BREAKS if b > end),
+                           min(2.0 * end, _Y_LIMIT))
+                self._panel(self._fit(end, nxt), 0, built)
+                end = nxt
+            if built:
+                a, b, g, _, _, bound = zip(*built)
+                g = np.stack(g)
+                g = np.concatenate([g, np.ones(g.shape[:2] + (1,))], axis=2)
+                self.error = np.maximum(self.error, np.max(bound, axis=0))
+                self.panels = (np.concatenate([lo, a]),
+                               np.concatenate([hi, b]),
+                               np.concatenate([vals, g]))
+            return self.panels
+
+    def __call__(self, ts):
+        """(len(ts), len(nus)) values of log F; ts finite and >= 0."""
+        y = np.log1p(ts)
+        lo, hi, vals = self.panels
+        if y.size and not (len(hi) and y.max() <= hi[-1]):
+            lo, hi, vals = self._extend(y.max())
+        k = np.searchsorted(hi, y)
+        lo, hi = lo[k], hi[k]
+        x = (2.0 * y - lo - hi) / (hi - lo)
+        # barycentric formula of the second kind, per panel in blocks of
+        # _BLOCK rows; a node value column of ones gives the denominator
+        # in the same product.  An x on a node gives 0 * inf: that row is
+        # nan and takes the node value instead.
+        cheb_x, bary_w, _ = _chebyshev()
+        out = np.empty((len(y), len(self.nus) + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for panel in np.flatnonzero(np.bincount(k)):
+                rows = np.flatnonzero(k == panel)
+                for s in range(0, len(rows), _BLOCK):
+                    sel = rows[s:s + _BLOCK]
+                    out[sel] = (bary_w / (x[sel, None] - cheb_x)) @ \
+                        vals[panel]
+            g = out[:, :-1] / out[:, -1:]
+        hit = np.flatnonzero(np.isnan(g[:, 0]))
+        if hit.size:
+            node = np.abs(x[hit, None] - cheb_x).argmin(axis=1)
+            g[hit] = vals[k[hit], node, :-1]
+        return g - np.outer(y, self.slope)
+
+
+@functools.lru_cache(maxsize=64)
+def _interpolant(p, nus, cfg):
+    return _LogFInterpolant(p, nus, cfg)
+
+
+def f_family_log_interp(p, ts, nus, cfg=None):
+    """log F_p(t; nu) from the interpolant of this (p, nu set, config).
+
+    Returns (values, bounds): values of shape (len(ts), len(nus)) as
+    f_family_log_table gives them, and per nu column a bound on the
+    absolute error of log F over every panel built so far.  The
+    interpolant is built on first use and extended when a larger t is
+    asked for.
+    """
+    cfg = _cfg(cfg)
+    p = as_exponent(p)
+    ts = np.asarray(ts, dtype=float)
+    nus = np.asarray(nus, dtype=float)
+    _check_args(ts, nus)
+    cols = nus.tolist()
+    unus = tuple(sorted(set(cols)))
+    interp = _interpolant(p, unus, cfg)
+    n_inv = [unus.index(nu) for nu in cols]
+    return interp(ts)[:, n_inv], interp.error[n_inv]
 
 
 def f_family_log(p, t, nu, cfg=None) -> float:

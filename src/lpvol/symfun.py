@@ -19,8 +19,12 @@ start, and the pass keeps only those: O(min(m, n - k_max + 1) (n - k_max))
 per row instead of O(m n), plus O(m) for one row of log-binomials.
 Three scalings keep the pass in range, and their logs are added back:
 
-- z -> z / rho per row, log rho = mean_r log(u_r / v_r)
-  + log((n-m+1)/(m-1)), puts z^(m-1) at the peak of the product;
+- z -> z / rho per row, with rho at the saddle point where the mean
+  degree sum_r (u_r/rho) / (v_r + u_r/rho) of the product is m - 1,
+  puts z^(m-1) at the peak of the product even when the factors differ
+  by hundreds of orders (the equal-ratio tilt, kept for rows whose
+  ratios u_r/v_r spread little, left it e^-1700 below the row maximum
+  for log factors drawn N(0, 10^2) at n = 300);
 - factors are divided by c_r = max(v_r, u_r / rho) and w by its row
   maximum of w_r / c_r, so one factor at most triples a coefficient;
 - the closed-form start is divided by its joint row maximum, and every
@@ -38,10 +42,14 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .roots import solve_increasing
 
 __all__ = ["elementary_symmetric", "batched_loo_log"]
 
 _RESCALE_STRIDE = 16
+# sum_r |log(u_r/v_r) - mean| up to which the equal-ratio z tilt is kept:
+# it leaves z^(m-1) at most e^-200 below the row maximum
+_TILT_SPREAD = 100.0
 
 
 def elementary_symmetric(values) -> np.ndarray:
@@ -77,6 +85,61 @@ def _group_start_log(lv, lu, lw, k, lo, hi):
     return p0, p1
 
 
+def _saddle_log_rho(ratio, counts, k):
+    """log rho per row that puts the mean degree of prod_r (v_r + z u_r
+    / rho) at k: sum_r counts_r sigma(ratio_r - log rho) = k, sigma the
+    logistic function and ratio_r = log(u_r / v_r).  A factor with
+    v_r = 0 always takes degree 1 and one with u_r = 0 degree 0.
+
+    For equal ratios the root is log rho = mean ratio + log((n - k)/k),
+    over the n_f factors with finite ratios and their share k_f of k.
+    That tilt moves each coefficient of the product by at most
+    exp(+-sum_r |ratio_r - mean|) from the equal-ratio case, where z^k
+    sits at the peak, so it is kept while that sum is at most
+    _TILT_SPREAD.  Rows spread wider are solved in log-odds,
+    log(Q/P) = log((n_f - k_f)/k_f) with P the mean degree and Q its
+    complement, by Newton from the equal-ratio root.  Below k_f = 1 (as
+    at k = 0) the upper end of the bracket is returned, where
+    u_r / rho < v_r for every factor with both finite, so the
+    normalisation max(v_r, u_r / rho) is v_r; above k_f = n_f - 1 the
+    lower end.
+    """
+    finite = np.isfinite(ratio)
+    r = np.where(finite, ratio, 0.0)
+    c = finite * counts
+    n_f = c.sum(axis=1)
+    k_f = k - ((ratio == np.inf) * counts).sum(axis=1)
+    # sigma(r - lo) > 1 - e^-5 / n and sigma(r - hi) < e^-5 / n for every
+    # factor, so the root is bracketed whenever 1 <= k_f <= n_f - 1
+    pad = math.log(counts.sum()) + 5.0
+    lo = np.where(finite, ratio, np.inf).min(axis=1) - pad
+    hi = np.where(finite, ratio, -np.inf).max(axis=1) + pad
+    inside = (k_f >= 1) & (k_f <= n_f - 1)
+    mean = (r * c).sum(axis=1) / np.maximum(n_f, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(inside, mean + np.log((n_f - k_f) / k_f),
+                       np.where(k_f < 1, hi, lo))
+    lam[n_f == 0] = 0.0
+    far = inside & ((np.abs(r - mean[:, None]) * c).sum(axis=1)
+                    > _TILT_SPREAD)
+    if far.any():
+        r, c, n_f = r[far], c[far], n_f[far]
+        odds = np.log((n_f - k_f[far]) / k_f[far])
+
+        def excess(lam):
+            with np.errstate(over="ignore", divide="ignore"):
+                sig = 1.0 / (1.0 + np.exp(lam[:, None] - r))
+                sig_c = c * sig
+                p = sig_c.sum(axis=1)
+                q = n_f - p
+                slope = (sig_c * (1.0 - sig)).sum(axis=1) * (1.0 / p
+                                                             + 1.0 / q)
+                return np.log(q) - np.log(p) - odds, slope
+
+        lam[far] = solve_increasing(excess, lo[far], hi[far], lam[far])
+    return lam
+
+
 def batched_loo_log(logv, logu, logw, m, counts=None) -> np.ndarray:
     """log of sum_i exp(logw_i) * [z^(m-1)] prod_{r != i}(v_r + z u_r).
 
@@ -104,12 +167,7 @@ def batched_loo_log(logv, logu, logw, m, counts=None) -> np.ndarray:
         raise DomainError(f"coefficient order m={m} outside 1..{n}")
     if not np.isfinite(np.maximum(logv, logu)).all():
         raise DomainError("each factor needs max(v, u) finite and positive")
-    ratio = logu - logv
-    finite = np.isfinite(ratio)
-    logrho = ((np.where(finite, ratio, 0.0) * counts).sum(axis=1)
-              / np.maximum((finite * counts).sum(axis=1), 1))
-    if m > 1:
-        logrho += math.log((n - m + 1) / (m - 1))
+    logrho = _saddle_log_rho(logu - logv, counts, m - 1)
     logu = logu - logrho[:, None]
     logc = np.maximum(logv, logu)
     lw = logw - logc

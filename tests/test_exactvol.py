@@ -336,6 +336,50 @@ class TestPolytopeLimits:
             got = intrinsic_volume(spec, j, loose_cfg).value.value
             assert got > ref
 
+    # Weighted bodies {sum |a_i x_i|^p <= 1} tend to the box
+    # prod [-1/a_i, 1/a_i] as p -> inf and to the crosspolytope
+    # conv{+-e_i / a_i} as p -> 1, through the weighted route at both
+    # ends of the p range.  Worst gaps over j at n = 4: 0.0254, 0.0127,
+    # 0.0064 (box, p = 64, 128, 256) and 0.0885, 0.0438, 0.0218
+    # (crosspolytope, p = 1.02, 1.01, 1.005).
+    WEIGHTS = (1.0, 2.0, 0.5, 1.5)
+
+    def _weighted_ladder(self, ps, refs, loose_cfg):
+        """V_1..V_n along the p ladder, (len(ps), n), and the worst
+        relative gap to refs at each p."""
+        n = len(self.WEIGHTS)
+        vals = np.array([[intrinsic_volume_weighted(
+            PBallSpec(p, self.WEIGHTS), j, loose_cfg).value.value
+            for j in range(1, n + 1)] for p in ps])
+        gaps = (np.abs(vals - refs[1:]) / refs[1:]).max(axis=1)
+        for lo, hi in zip(gaps[1:], gaps[:-1]):
+            assert 0.40 <= lo / hi <= 0.60
+        return vals, gaps
+
+    def test_weighted_box_gap_halves_when_p_doubles(self, loose_cfg):
+        n = len(self.WEIGHTS)
+        half = [1.0 / a for a in self.WEIGHTS]
+        refs = np.array([cube_vj(n, j, half) for j in range(n + 1)])
+        vals, gaps = self._weighted_ladder((64.0, 128.0, 256.0), refs,
+                                           loose_cfg)
+        assert gaps[0] <= 0.03
+        # the bodies grow with p toward the box
+        assert np.all(vals[:-1] < vals[1:])
+        assert np.all(vals[-1] < refs[1:])
+
+    def test_weighted_crosspolytope_gap_halves_with_p_minus_one(
+            self, loose_cfg):
+        n = len(self.WEIGHTS)
+        refs = np.array([crosspolytope_vj(n, j, loose_cfg,
+                                          weights=self.WEIGHTS)
+                         for j in range(n + 1)])
+        vals, gaps = self._weighted_ladder((1.02, 1.01, 1.005), refs,
+                                           loose_cfg)
+        assert gaps[0] <= 0.1
+        # the bodies shrink with p toward the crosspolytope
+        assert np.all(vals[:-1] > vals[1:])
+        assert np.all(vals[-1] > refs[1:])
+
     @pytest.mark.parametrize("p", [1.003, 1.001])
     def test_nested_between_crosspolytope_and_p_1_01(self, p, loose_cfg):
         for n in range(2, 7):

@@ -10,13 +10,17 @@ import pytest
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, intrinsic_volume
 from lpvol.specfun import (DEFAULT_CONFIG, IJKL, PExponent, QuadConfig,
-                           _log_upper_limit, _tail_cutoff, as_exponent,
-                           f_family, f_family_at_zero, f_family_large_t,
-                           f_family_log, f_family_log_table, ijkl, kappa,
-                           log_choose, log_gamma, log_kappa)
+                           _direct_log_table, _interpolant,
+                           _log_upper_limit, _tail_cutoff,
+                           as_exponent, f_family, f_family_at_zero,
+                           f_family_at_zero_log, f_family_large_t,
+                           f_family_log, f_family_log_interp,
+                           f_family_log_table, ijkl, kappa, log_choose,
+                           log_gamma, log_kappa)
 
 from .reference import (F3_AT_ZERO, HALF_PERIMETER_NEAR_ONE,
-                        LOG_F_NEAR_ONE, LOG_F_NU_NEAR_MINUS_ONE, f_ref)
+                        LOG_F_CALIBRATION, LOG_F_NEAR_ONE,
+                        LOG_F_NU_NEAR_MINUS_ONE, f_ref)
 
 P_GRID = (1.2, 1.5, 2.0, 3.0, 5.0)
 T_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -42,6 +46,16 @@ class TestClosedForms:
                 assert f_family(p, 0.0, nu) == pytest.approx(ref, rel=1e-12)
                 assert f_family_at_zero(p, nu) == pytest.approx(ref,
                                                                rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.001, 1.005])
+    def test_value_at_zero_near_one(self, p):
+        # near p = 1 the nu < 0 head of the table spans y = log u down to
+        # -21000 while its mass and the kernel's drop sit near the split
+        # point: one GK15 panel read log F 1.15 low at p = 1.001,
+        # nu = -0.5, and 4.4e-4 high at p = 1.005, nu = -0.999
+        for nu in (-0.999, -0.5, p - 2.0):
+            assert f_family_log(p, 0.0, nu) == pytest.approx(
+                f_family_at_zero_log(p, nu), rel=1e-13, abs=1e-13)
 
     def test_frozen_cube_root_value(self):
         assert f_family(3.0, 0.0, 0.0) == pytest.approx(F3_AT_ZERO,
@@ -168,6 +182,67 @@ class TestNuNearMinusOne:
             if q == nu:
                 assert f_family_log(p, t, nu) == pytest.approx(ref,
                                                                abs=1e-12)
+
+
+class TestInterpolant:
+    """f_family_log_interp, the piecewise Chebyshev interpolant in
+    y = log1p(t) that the theta integrals read: its reported bound must
+    cover the actual error in log F."""
+
+    @pytest.mark.parametrize("p", sorted({k[0] for k in LOG_F_CALIBRATION}))
+    def test_bound_covers_mpmath_error(self, p):
+        # p from 1.005 to 64, nu down to -0.999, t from 0 to 1e20
+        members = {"-0.999": -0.999, "0": 0.0, "p-2": p - 2.0,
+                   "2p-2": 2.0 * p - 2.0}
+        labels = sorted({k[1] for k in LOG_F_CALIBRATION if k[0] == p})
+        ts = sorted({k[2] for k in LOG_F_CALIBRATION if k[0] == p})
+        vals, bound = f_family_log_interp(p, ts, [members[m]
+                                                  for m in labels])
+        want = np.array([[LOG_F_CALIBRATION[(p, m, t)] for m in labels]
+                         for t in ts])
+        err = np.abs(vals - want)
+        assert np.all(err <= bound), (err.max(axis=0), bound)
+        # a bound, not a placeholder: under 1e-9 in log F everywhere
+        assert np.all(bound < 1e-9)
+
+    @pytest.mark.parametrize("p", [1.005, 1.5, 3.0, 8.0, 64.0, 256.0])
+    def test_matches_direct_table_between_nodes(self, p):
+        rng = np.random.default_rng(int(p * 1000))
+        ts = np.concatenate([[0.0], 10.0 ** rng.uniform(-8.0, 20.0, 200)])
+        nus = [0.0, 2.0 * p - 2.0] + ([p - 2.0] if p > 1.5 else [-0.5])
+        vals, bound = f_family_log_interp(p, ts, nus)
+        ref, ref_err = _direct_log_table(p, ts, np.array(nus),
+                                         DEFAULT_CONFIG)
+        assert np.all(np.abs(vals - ref) <= bound + ref_err)
+
+    def test_gaussian_case_to_rounding(self):
+        # p = 2: g = log F + (nu+1)/2 log1p(t) is the constant
+        # log Gamma((nu+1)/2), so interpolation adds nothing to the
+        # rounding of the node values (the direct table is up to 18 eps
+        # off the closed form on this grid)
+        ts = np.array([0.0, 1e-6, 0.5, 1.0, 7.0, 1e3, 1e8, 1e20])
+        nus = [0.0, 1.0, 2.5]
+        vals, _ = f_family_log_interp(2.0, ts, nus)
+        for c, nu in enumerate(nus):
+            s = 0.5 * (nu + 1.0)
+            want = math.lgamma(s) - s * np.log1p(ts)
+            assert np.all(np.abs(vals[:, c] - want)
+                          <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_extends_past_1e20_on_demand(self):
+        # a config of its own gives a fresh interpolant
+        cfg = QuadConfig(max_subdivisions=511)
+        p, nus = 3.0, [0.0, 1.0, 4.0]
+        f_family_log_interp(p, [0.5], nus, cfg)
+        interp = _interpolant(p, (0.0, 1.0, 4.0), cfg)
+        assert interp.panels[1][-1] == 1.0
+        vals, bound = f_family_log_interp(p, [1e30], nus, cfg)
+        assert interp.panels[1][-1] >= math.log1p(1e30)
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(bound))
+        # the next term of the large-t expansion is t^-0.75 = 1e-22
+        for c, nu in enumerate(nus):
+            lead = math.log(f_family_large_t(p, nu).leading(1e30))
+            assert abs(vals[0, c] - lead) <= bound[c]
 
 
 def _double_loop_log_upper_limit(cs, e_c, e_1, nus, cfg):

@@ -5,6 +5,7 @@ ungrouped pass."""
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -245,3 +246,42 @@ class TestGroupedLooLog:
             flat = batched_loo_log(*_expanded([n], logv, logu, logw), m)
             # logs within 1e-12: the sums agree to 1e-12 relative
             np.testing.assert_allclose(flat, grouped, rtol=0.0, atol=1e-12)
+
+
+def _mp_loo_log(lv, lu, lw, ms):
+    """log S_m for each m in ms from one row of log factors: the s^1 part
+    of prod_r (v_r + z u_r + s w_r), multiplied out in 40-digit mpmath."""
+    with mp.workdps(40):
+        v, u, w = ([mp.exp(mp.mpf(float(x))) for x in row]
+                   for row in (lv, lu, lw))
+        top = max(ms)
+        p0 = [mp.mpf(1)] + [mp.mpf(0)] * top
+        p1 = [mp.mpf(0)] * (top + 1)
+        for r in range(len(v)):
+            for d in range(min(r + 1, top), 0, -1):
+                p1[d] = v[r] * p1[d] + u[r] * p1[d - 1] + w[r] * p0[d]
+                p0[d] = v[r] * p0[d] + u[r] * p0[d - 1]
+            p1[0] = v[r] * p1[0] + w[r] * p0[0]
+            p0[0] = v[r] * p0[0]
+        return {m: float(mp.log(p1[m - 1])) for m in ms}
+
+
+class TestHeterogeneousFactors:
+    """Factors spread over hundreds of orders of magnitude: log v, log u
+    and log w drawn N(0, sd^2) at n = 300.  With one mean tilt of z per
+    row, z^(m-1) sank about e^-1700 below the row maximum near m = n and
+    the pass returned -inf (sd = 10, m in {290, 299, 300}); at sd = 100
+    the u-normalisation alone underflowed the m = 1 product of v."""
+
+    @pytest.mark.parametrize("sd", [10.0, 100.0])
+    def test_matches_mpmath(self, sd):
+        rng = np.random.default_rng(0)
+        t_rows, n = 2, 300
+        lv, lu, lw = rng.normal(0.0, sd, size=(3, t_rows, n))
+        ms = (1, 2, 150, 290, 299, 300)
+        want = [_mp_loo_log(lv[t], lu[t], lw[t], ms) for t in range(t_rows)]
+        for m in ms:
+            got = batched_loo_log(lv, lu, lw, m)
+            # log S within 1e-10: S within 1e-10 relative
+            np.testing.assert_allclose(got, [row[m] for row in want],
+                                       rtol=0.0, atol=1e-10)
