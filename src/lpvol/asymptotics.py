@@ -16,6 +16,7 @@ and the F-family quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -148,11 +149,14 @@ def phase_maximizer(p, beta, cfg: QuadConfig = None) -> PhasePoint:
     The auxiliary g(theta) = theta J/I is strictly increasing from 0 to
     infinity, so a doubling bracket in log theta followed by safeguarded
     Newton (analytic slope) cannot miss.  Psi'' at the root comes from
-    the analytic form -beta (K/I) g'/g.
+    the analytic form -beta (K/I) g'/g.  Each (p, beta, cfg) is solved
+    once per process: tables over n at one beta ask for it per row.
     """
-    p = as_exponent(p)
-    beta = _check_beta(beta)
-    cfg = _cfg(cfg)
+    return _solve_phase(as_exponent(p), _check_beta(beta), _cfg(cfg))
+
+
+@functools.lru_cache(maxsize=256)
+def _solve_phase(p: float, beta: float, cfg: QuadConfig) -> PhasePoint:
     log_rhs = (math.log1p(-beta) + math.log(p)
                - math.log(2.0 * (p - 1.0)) - math.log(beta))
 

@@ -40,7 +40,7 @@ from .errors import (ConvergenceFailure, DegenerateInput, DomainError,
                      QuadratureFailure)
 from .specfun import DEFAULT_CONFIG, QuadConfig
 from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volume_weighted,
-                       steiner_polynomial)
+                       intrinsic_volumes, steiner_polynomial)
 from . import oracles
 from .oracles import McConfig, steiner_mc_volume
 from .asymptotics import (bulk_asymptotic, exp_profile, left_edge_asymptotic,
@@ -229,13 +229,13 @@ def cmd_intrinsic(args) -> int:
         raise DomainError("give -j or --all")
     else:
         js = [args.j]
-    route = intrinsic_volume if spec.is_unit else intrinsic_volume_weighted
-
-    def row(j):
-        res = route(spec, j, cfg)
-        return (j, res.value.value, res.value.log10(), res.est_rel_error)
-
-    rows = _pmap(row, js)
+    if args.all:
+        results = intrinsic_volumes(spec, js, cfg)
+    else:
+        route = intrinsic_volume if spec.is_unit else intrinsic_volume_weighted
+        results = [route(spec, args.j, cfg)]
+    rows = [(res.j, res.value.value, res.value.log10(), res.est_rel_error)
+            for res in results]
     if args.all:
         # the volume sequence must be log-concave: V_j^2 >= V_(j-1) V_(j+1)
         logs = [r[2] for r in rows]
@@ -420,9 +420,9 @@ def _suite_ball(cfg, seed):
     worst = 0.0
     for n in (2, 4, 6):
         spec = PBallSpec.unit(2.0, n)
-        for j in range(n + 1):
-            got = intrinsic_volume(spec, j, cfg).value.value
-            ref = oracles.ball_vj(n, j)
+        for res in intrinsic_volumes(spec, range(n + 1), cfg):
+            got = res.value.value
+            ref = oracles.ball_vj(n, res.j)
             worst = max(worst, abs(got - ref) / ref)
     out.append(("round-ball volumes vs closed form, n <= 6",
                 worst <= 1e-8, f"worst rel dev {worst:.2e}"))

@@ -11,6 +11,10 @@ values of column nu is off by at most sum_nu k_nu eps_nu, so
 est_rel_error adds expm1 of j eps_0 + (m-1) eps_(p-2) + eps_(2p-2) on the
 unit route and of n max eps on the weighted route.
 
+intrinsic_volumes integrates V_j for several j as one family: the
+integrands differ only in exponents, theta power and tail, so one mesh
+and one F-table batch per node serve them all.
+
 Two independent routes are implemented on purpose.  The unit-weight route
 expresses V_j through powers I^j J^(n-j-1) K; the weighted route expands
 a product over coordinates and extracts a symmetric-polynomial
@@ -35,7 +39,8 @@ from .symfun import batched_loo_log
 
 __all__ = [
     "PBallSpec", "MomentRequest", "IntrinsicVolumeResult",
-    "volume", "intrinsic_volume", "intrinsic_volume_weighted",
+    "volume", "intrinsic_volume", "intrinsic_volumes",
+    "intrinsic_volume_weighted",
     "mixed_moment", "mixed_moment_log", "surface_moment", "key_integral",
     "mean_projection_volume", "kubota_projection_factor",
     "steiner_polynomial",
@@ -136,9 +141,11 @@ class IntrinsicVolumeResult:
     """An intrinsic volume with quadrature diagnostics.
 
     value is a positive log-scale number; theta_nodes counts integrand
-    evaluations of the outer integral; est_rel_error is the quadrature
-    error estimate relative to the value, widened by the F-interpolant
-    bound, plus the rounding of its log terms.
+    evaluations of the outer integral (for a result of intrinsic_volumes,
+    the node count of the mesh shared by the whole family, so equal for
+    all its members; 0 for a closed form); est_rel_error is the
+    quadrature error estimate relative to the value, widened by the
+    F-interpolant bound, plus the rounding of its log terms.
     """
 
     value: LogValue
@@ -179,6 +186,68 @@ def _with_f_error(log_int: float, log_err: float, log_f_err: float
     return log_add(log_err, log_int + math.log(math.expm1(log_f_err)))
 
 
+def intrinsic_volumes(spec: PBallSpec, js: Sequence[int],
+                      cfg: QuadConfig = None) -> list:
+    """V_j for every j in js, in the order given.
+
+    Unit-weight bodies take the route of intrinsic_volume, others that of
+    intrinsic_volume_weighted.  The theta integrals of all requested j
+    are one family on a shared mesh (quadrature.log_theta_integral), so
+    each F-table batch serves every member; theta_nodes of each result
+    is the node count of that shared mesh.
+    """
+    cfg = _cfg(cfg)
+    if spec.is_unit:
+        return _unit_volumes(spec, js, cfg)
+    return _weighted_volumes(spec, js, cfg)
+
+
+def _checked_indices(spec: PBallSpec, js) -> list:
+    js = [int(j) for j in js]
+    for j in js:
+        if not 0 <= j <= spec.n:
+            raise DomainError(
+                f"intrinsic volume index {j} outside 0..{spec.n}")
+    return js
+
+
+def _unit_volumes(spec: PBallSpec, js, cfg: QuadConfig) -> list:
+    """The unit route: V_j from the I^j J^(m-1) K theta-integral, m = n-j,
+    for all j in js at once.  j = 0 gives exactly 1; j = n is the
+    closed-form volume."""
+    n, p = spec.n, spec.p
+    js = _checked_indices(spec, js)
+    found = {0: IntrinsicVolumeResult(LogValue.one(), 0, 0, 0.0),
+             n: IntrinsicVolumeResult(volume(spec), n, 0, 0.0)}
+    inner = np.array(sorted({j for j in js if 0 < j < n}), dtype=int)
+    if inner.size:
+        ms = n - inner
+        nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
+        bound = np.zeros(3)
+
+        def log_smooth(th, idx):
+            tab, err = f_family_log_interp(p, th, nus, cfg)
+            np.maximum(bound, err, out=bound)
+            return (inner[idx] * tab[:, :1] + (ms[idx] - 1) * tab[:, 1:2]
+                    + tab[:, 2:])
+
+        log_ints, log_errs, nodes = log_theta_integral(
+            0.5 * ms - 1.0, log_smooth, (inner + p) / (2.0 * p - 2.0), cfg)
+        for j, log_int, log_err in zip(inner.tolist(), log_ints.tolist(),
+                                       log_errs.tolist()):
+            m = n - j
+            log_err = _with_f_error(
+                log_int, log_err, j * bound[0] + (m - 1) * bound[1] + bound[2])
+            pre = (math.log(p), (n - j - 1) * math.log(p - 1.0),
+                   log_choose(n, j), -log_kappa(m), -math.lgamma(1.0 + j / p),
+                   -math.lgamma(0.5 * m))
+            found[j] = IntrinsicVolumeResult(
+                LogValue.from_log(sum(pre) + log_int), j, nodes,
+                math.exp(log_err - log_int)
+                + _rounding_rel_error(pre, log_int))
+    return [found[j] for j in js]
+
+
 def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
                      ) -> IntrinsicVolumeResult:
     """V_j of the unit p-ball via the I^j J^(m-1) K theta-integral.
@@ -189,34 +258,7 @@ def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
     if not spec.is_unit:
         raise DomainError(
             "this route needs unit weights; see intrinsic_volume_weighted")
-    cfg = _cfg(cfg)
-    n, p = spec.n, spec.p
-    j = int(j)
-    if not 0 <= j <= n:
-        raise DomainError(f"intrinsic volume index {j} outside 0..{n}")
-    if j == 0:
-        return IntrinsicVolumeResult(LogValue.one(), 0, 0, 0.0)
-    if j == n:
-        return IntrinsicVolumeResult(volume(spec), n, 0, 0.0)
-    m = n - j
-    nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
-    bound = np.zeros(3)
-
-    def log_smooth(th):
-        tab, err = f_family_log_interp(p, th, nus, cfg)
-        np.maximum(bound, err, out=bound)
-        return j * tab[:, 0] + (m - 1) * tab[:, 1] + tab[:, 2]
-
-    s_tail = (j + p) / (2.0 * p - 2.0)
-    log_int, log_err, nodes = log_theta_integral(
-        0.5 * m - 1.0, log_smooth, s_tail, cfg)
-    log_err = _with_f_error(log_int, log_err,
-                                j * bound[0] + (m - 1) * bound[1] + bound[2])
-    pre = (math.log(p), (n - j - 1) * math.log(p - 1.0), log_choose(n, j),
-           -log_kappa(m), -math.lgamma(1.0 + j / p), -math.lgamma(0.5 * m))
-    return IntrinsicVolumeResult(
-        LogValue.from_log(sum(pre) + log_int), j, nodes,
-        math.exp(log_err - log_int) + _rounding_rel_error(pre, log_int))
+    return intrinsic_volumes(spec, [j], cfg)[0]
 
 
 def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
@@ -226,10 +268,10 @@ def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
     Coordinate k reads log F(theta a_k^2; lam_k + o) for each offset o.
     Coordinates with equal (a_k, lam_k) form one group, in order of first
     appearance.  Returns (gather, counts, a2): gather maps a theta batch
-    (T,) to one (T, G) array per offset and the largest error bound on
-    those log F values, with one interpolant call over the distinct
-    a_k^2 and the distinct nu values of all offsets; counts[g] is the
-    size of group g and a2[g] its a_k^2.
+    (T,) to one (T, G) array per offset and, per offset, the largest
+    error bound on its log F values, with one interpolant call over the
+    distinct a_k^2 and the distinct nu values of all offsets; counts[g]
+    is the size of group g and a2[g] its a_k^2.
     """
     ua2, aidx = np.unique(spec.weights ** 2, return_inverse=True)
     ulam, lidx = np.unique(lam, return_inverse=True)
@@ -246,77 +288,105 @@ def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
         ts = np.outer(th, ua2).reshape(-1)
         tab, err = f_family_log_interp(spec.p, ts, unus, cfg)
         tab = tab.reshape(len(th), len(ua2), len(unus))
-        return ([tab[:, gidx, idx] for idx in nidx.reshape(len(offsets), -1)],
-                float(err.max()))
+        blocks = nidx.reshape(len(offsets), -1)
+        return ([tab[:, gidx, idx] for idx in blocks],
+                np.array([err[idx].max() for idx in blocks]))
 
     return gather, counts, ua2[gidx]
 
 
-def _moment_theta_integral(spec: PBallSpec, m: int, lam: np.ndarray,
+def _moment_theta_integral(spec: PBallSpec, ms: np.ndarray, lam: np.ndarray,
                            cfg: QuadConfig):
-    """Shared theta-integral core of the weighted route.
+    """Shared theta-integral core of the weighted route, for the family of
+    codimension indices ms that share the exponents lam.
 
     Integrand at each theta: the leave-one-out coefficient sum over
     triples (v_k, u_k, w_k) = (F(th a_k^2; mu_k), a_k^2 F(.; mu_k+p-2),
     a_k^2 F(.; mu_k+2p-2)) with mu_k = lambda_k, coefficient order m,
     times theta^(m/2-1); coordinates with equal (a_k, lambda_k) enter
-    the engine once, as one group.  At m = 1 the order-0 coefficient
-    never reads u_k, so that column (whose nu can fall to -1 or below
-    when p < 2) is not requested.  Returns (log integral, log error,
-    nodes); the error includes n times the largest F-interpolant bound,
-    since n F-values multiply in every term.
+    the engine once, as one group.  One gather per theta batch serves
+    every member, then one engine call per member still open.  At m = 1 the order-0 coefficient never reads u_k, so
+    that column (whose nu can fall to -1 or below when p < 2) is not
+    requested unless another member needs it.  Returns (log integrals,
+    log errors, nodes), the first two (K,) arrays; each error includes n
+    times the largest F-interpolant bound of the columns its member
+    reads, since n F-values multiply in every term.
     """
     p, n = spec.p, spec.n
     offsets = [0.0, 2.0 * p - 2.0]
-    if m > 1:
+    if ms.max() > 1:
         offsets.append(p - 2.0)
     gather, counts, a2 = _coordinate_log_f(spec, lam, offsets, cfg)
     log_a2 = np.log(a2)
-    bound = 0.0
+    bound = np.zeros(len(offsets))
 
-    def log_smooth(th):
-        nonlocal bound
+    def log_smooth(th, idx):
         cols, err = gather(th)
-        bound = max(bound, err)
+        np.maximum(bound, err, out=bound)
         logv, logw = cols[0], log_a2 + cols[1]
-        logu = log_a2 + cols[2] if m > 1 else logv
-        return batched_loo_log(logv, logu, logw, m, counts)
+        logu = log_a2 + cols[2] if len(cols) > 2 else logv
+        return np.stack([batched_loo_log(logv, logu if m > 1 else logv,
+                                         logw, m, counts) for m in ms[idx]],
+                        axis=1)
 
-    s_tail = (float(lam.sum()) + (n - m) + p) / (2.0 * p - 2.0)
-    log_int, log_err, nodes = log_theta_integral(0.5 * m - 1.0, log_smooth,
-                                                 s_tail, cfg)
-    return log_int, _with_f_error(log_int, log_err, n * bound), nodes
+    s_tail = (float(lam.sum()) + (n - ms) + p) / (2.0 * p - 2.0)
+    log_ints, log_errs, nodes = log_theta_integral(0.5 * ms - 1.0, log_smooth,
+                                                   s_tail, cfg)
+    for k, m in enumerate(ms):
+        f_err = n * (bound.max() if m > 1 else bound[:2].max())
+        log_errs[k] = _with_f_error(log_ints[k], log_errs[k], f_err)
+    return log_ints, log_errs, nodes
+
+
+def _moment_logs(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig):
+    """Boundary moments of codimension indices ms (validated by the
+    caller) that share the padded exponents lam, as one family integral.
+    Returns ([(log value, relative error) per m], theta nodes)."""
+    p, n = spec.p, spec.n
+    ms = np.asarray(ms, dtype=int)
+    total = float(lam.sum())
+    log_ints, log_errs, nodes = _moment_theta_integral(spec, ms, lam, cfg)
+    out = []
+    for m, log_int, log_err in zip(ms.tolist(), log_ints.tolist(),
+                                   log_errs.tolist()):
+        pre = (math.log(p), (m - 1) * math.log(p - 1.0), -math.log(m),
+               -log_kappa(m), -math.lgamma((n + total + p - m) / p),
+               -math.lgamma(0.5 * m),
+               -float(((lam + 1.0) * np.log(spec.weights)).sum()))
+        out.append((sum(pre) + log_int,
+                    math.exp(log_err - log_int)
+                    + _rounding_rel_error(pre, log_int)))
+    return out, nodes
 
 
 def _moment_log(spec: PBallSpec, req: MomentRequest, cfg: QuadConfig):
     req.validate(spec)
-    p, n, m = spec.p, spec.n, req.codim
-    lam = req.padded(n)
-    total = float(lam.sum())
-    log_int, log_err, nodes = _moment_theta_integral(spec, m, lam, cfg)
-    pre = (math.log(p), (m - 1) * math.log(p - 1.0), -math.log(m),
-           -log_kappa(m), -math.lgamma((n + total + p - m) / p),
-           -math.lgamma(0.5 * m),
-           -float(((lam + 1.0) * np.log(spec.weights)).sum()))
-    return (sum(pre) + log_int,
-            math.exp(log_err - log_int) + _rounding_rel_error(pre, log_int),
-            nodes)
+    rows, nodes = _moment_logs(spec, [req.codim], req.padded(spec.n), cfg)
+    return (*rows[0], nodes)
+
+
+def _weighted_volumes(spec: PBallSpec, js, cfg: QuadConfig) -> list:
+    """The coefficient-extraction route for all j in js at once: V_j is
+    the boundary moment of codimension n - j with no exponents; j = n is
+    the closed-form volume."""
+    n = spec.n
+    js = _checked_indices(spec, js)
+    found = {n: IntrinsicVolumeResult(volume(spec), n, 0, 0.0)}
+    inner = sorted({j for j in js if j < n})
+    if inner:
+        rows, nodes = _moment_logs(spec, [n - j for j in inner], np.zeros(n),
+                                   cfg)
+        for j, (log_val, rel) in zip(inner, rows):
+            found[j] = IntrinsicVolumeResult(LogValue.from_log(log_val), j,
+                                             nodes, rel)
+    return [found[j] for j in js]
 
 
 def intrinsic_volume_weighted(spec: PBallSpec, j: int,
                               cfg: QuadConfig = None
                               ) -> IntrinsicVolumeResult:
     """V_j of a weighted p-ball via the coefficient-extraction route."""
-    cfg = _cfg(cfg)
-    n = spec.n
-    j = int(j)
-    if not 0 <= j <= n:
-        raise DomainError(f"intrinsic volume index {j} outside 0..{n}")
-    if j == n:
-        return IntrinsicVolumeResult(volume(spec), n, 0, 0.0)
-    req = MomentRequest(n - j, ())
-    log_val, rel, nodes = _moment_log(spec, req, cfg)
-    return IntrinsicVolumeResult(LogValue.from_log(log_val), j, nodes, rel)
+    return _weighted_volumes(spec, [j], _cfg(cfg))[0]
 
 
 def mixed_moment(spec: PBallSpec, request: MomentRequest,
@@ -421,9 +491,7 @@ def steiner_polynomial(spec: PBallSpec, t: float,
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"offset distance must be >= 0, got {t}")
     n = spec.n
-    route = intrinsic_volume if spec.is_unit else intrinsic_volume_weighted
     total = 0.0
-    for j in range(n + 1):
-        vj = route(spec, j, cfg).value.value
-        total += kappa(n - j) * vj * t ** (n - j)
+    for j, res in enumerate(intrinsic_volumes(spec, range(n + 1), cfg)):
+        total += kappa(n - j) * res.value.value * t ** (n - j)
     return total

@@ -4,14 +4,23 @@ One refinement loop (_refine) drives two GK15 kernels: a linear-domain
 kernel for vector-valued integrands (many components evaluated on one
 shared grid, refined until every component meets its tolerance; quad_gk)
 and a log-domain kernel for positive integrands whose magnitude can reach
-exp(+-1e5) (quad_gk_log).  Each engine supplies its kernel and its
-convergence test.  The base rule is the 15-point Kronrod extension of
+exp(+-1e5) (quad_gk_log).  The log kernel is vector-valued too: a family
+of K log integrands shares one mesh, which is refined until every member
+meets its own relative tolerance; a member that has met it is not
+evaluated again.  Each engine supplies its kernel and its convergence
+test.  The base rule is the 15-point Kronrod extension of
 7-point Gauss; the error model is the classical
 (200 |K - G| / resasc)^{3/2} rescaling.
 
 Refinement is batched: every sweep splits all intervals whose local error
 exceeds its share of the budget, so the integrand callable is invoked on
 large node blocks instead of one interval at a time.
+
+log_theta_integral, the outer integral of every intrinsic volume and
+moment, runs on the log kernel: one family of theta integrands (for
+example V_1..V_(n-1) of one body) on one mesh, with each member closing
+its own power-law tail.  A family of one refines exactly as a scalar
+call does.
 """
 
 from __future__ import annotations
@@ -86,13 +95,22 @@ def _eval_linear(f, a_arr, b_arr):
 
 
 def _eval_log(logf, a_arr, b_arr):
-    """GK15 in log space on a batch of intervals (positive integrand)."""
+    """GK15 in log space on a batch of intervals (positive integrands).
+
+    logf maps (nx,) nodes to (nx, K) values of K integrands; returns
+    (log values, log errors) of shape (K, ni).
+    """
     mid = 0.5 * (a_arr + b_arr)
     hl = 0.5 * (b_arr - a_arr)
+    ni = len(a_arr)
     x = mid[:, None] + hl[:, None] * NODES[None, :]
-    lf = np.asarray(logf(x.reshape(-1)), dtype=float).reshape((len(a_arr), 15))
+    lf = np.asarray(logf(x.reshape(-1)), dtype=float)
+    k = lf.shape[1]
+    # one row of 15 node values per (member, interval)
+    lf = lf.reshape(ni, 15, k).transpose(2, 0, 1).reshape(-1, 15)
     if np.isnan(lf).any():
         raise QuadratureFailure("log-integrand returned NaN")
+    hl = np.tile(hl, k)
     m = lf.max(axis=1)
     finite = m > LOG_ZERO
     sc = np.zeros_like(lf)
@@ -113,7 +131,7 @@ def _eval_log(logf, a_arr, b_arr):
                           LOG_ZERO)
     logval[~finite] = LOG_ZERO
     logerr[~finite] = LOG_ZERO
-    return logval, logerr
+    return logval.reshape(k, ni), logerr.reshape(k, ni)
 
 
 def _refine(kernel, status, a, b, max_subdivisions, rule):
@@ -185,25 +203,66 @@ def quad_gk(f, a, b, *, rel_tol, abs_tol, max_subdivisions):
                    max_subdivisions, "GK15")
 
 
-def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, log_floor=LOG_ZERO):
+def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, log_floor=LOG_ZERO,
+                members=None):
     """Integrate exp(logf) over [a, b] entirely in log space.
 
     logf maps (nx,) nodes to (nx,) log-integrand values (-inf allowed).
     Returns (log integral, log error estimate, intervals).  Termination:
     total log-error <= max(log_floor, log(rel_tol) + log integral).
-    """
-    def status(logv, loge, ni):
-        logtot = float(logsumexp_arr(logv))
-        logerrtot = float(logsumexp_arr(loge))
-        logtol = max(log_floor, math.log(rel_tol) + logtot)
-        if logerrtot <= logtol or logtot == LOG_ZERO:
-            return (logtot, logerrtot), None, None, None
-        bad = loge > logtol - math.log(2.0 * ni)
-        return (None, bad, loge,
-                f"log-error {logerrtot:.3f} vs log-tolerance {logtol:.3f}")
 
-    return _refine(lambda aa, bb: _eval_log(logf, aa, bb), status, a, b,
-                   max_subdivisions, "log-GK15")
+    For a family of K = members integrands on one shared mesh, logf(x, idx)
+    returns (nx, len(idx)) values of the members idx, log_floor is a
+    scalar or a (K,) array, and the first two results are (K,) arrays.
+    A member is frozen once it meets its own tolerance: later sweeps
+    neither evaluate it nor split intervals for it.
+    """
+    scalar = members is None
+    if scalar:
+        f_one = logf
+
+        def logf(x, idx):
+            return np.asarray(f_one(x), dtype=float)[:, None]
+        members = 1
+    log_floor = np.broadcast_to(np.asarray(log_floor, dtype=float),
+                                (members,))
+    log_rel = math.log(rel_tol)
+    live = np.ones(members, dtype=bool)
+    total = np.full(members, LOG_ZERO)
+    errtotal = np.full(members, LOG_ZERO)
+
+    def kernel(aa, bb):
+        idx = np.flatnonzero(live)
+        vals, errs = _eval_log(lambda x: logf(x, idx), aa, bb)
+        if len(idx) == members:
+            return vals, errs
+        full_vals = np.full((members, len(aa)), LOG_ZERO)
+        full_errs = np.full((members, len(aa)), LOG_ZERO)
+        full_vals[idx], full_errs[idx] = vals, errs
+        return full_vals, full_errs
+
+    def status(logv, loge, ni):
+        idx = np.flatnonzero(live)
+        errs = loge[idx]
+        logtot = logsumexp_arr(logv[idx], axis=-1)
+        logerrtot = logsumexp_arr(errs, axis=-1)
+        logtol = np.maximum(log_floor[idx], log_rel + logtot)
+        done = (logerrtot <= logtol) | (logtot == LOG_ZERO)
+        total[idx[done]] = logtot[done]
+        errtotal[idx[done]] = logerrtot[done]
+        live[idx[done]] = False
+        if not live.any():
+            result = (float(total[0]), float(errtotal[0])) if scalar else (
+                total, errtotal)
+            return result, None, None, None
+        errs, logtol, logerrtot = errs[~done], logtol[~done], logerrtot[~done]
+        bad = (errs > (logtol - math.log(2.0 * ni))[:, None]).any(axis=0)
+        worst = np.argmax(logerrtot - logtol)
+        return (None, bad, (errs - logtol[:, None]).max(axis=0),
+                f"log-error {logerrtot[worst]:.3f} vs log-tolerance "
+                f"{logtol[worst]:.3f}")
+
+    return _refine(kernel, status, a, b, max_subdivisions, "log-GK15")
 
 
 def log_theta_integral(power, log_smooth, s_tail, cfg):
@@ -214,55 +273,89 @@ def log_theta_integral(power, log_smooth, s_tail, cfg):
     known in closed form by every caller from the large-argument expansion
     of its F-family factors).
 
+    A family of K integrands shares one theta mesh: power and s_tail are
+    then (K,) arrays and log_smooth(theta, idx) returns (T, len(idx))
+    values of the members idx, typically combinations of one F-table per
+    node.  With scalar power and s_tail, log_smooth(theta) returns (T,)
+    and the results are floats.
+
     Strategy: substitute theta = x^2 so half-integer powers stay smooth at
     the origin, integrate [0, U] adaptively, then double U until the
     power-law tail model (integrand value at U times U/s_tail) drops below
     rel_tol/2 of the running estimate *and* the integrand is decreasing at
     U; the final octave doubles as a verification that the model holds.
+    A member is no longer evaluated on a piece once it meets its
+    tolerance there (quad_gk_log), nor on later octaves once its tail
+    closes.  A family of one refines exactly as a scalar call does.
 
-    Returns (log value, log error estimate, theta nodes used).
+    Returns (log value, log error estimate, theta nodes used); for a family
+    the node count is that of the shared mesh.
     """
-    if not s_tail > 0:
-        raise DomainError(f"tail exponent must be positive, got {s_tail}")
+    scalar = np.ndim(power) == 0 and np.ndim(s_tail) == 0
+
+    def family(th, idx):
+        if scalar:
+            return np.asarray(log_smooth(th), dtype=float)[:, None]
+        return log_smooth(th, idx)
+
+    power, s_tail = np.broadcast_arrays(np.atleast_1d(power).astype(float),
+                                        np.atleast_1d(s_tail).astype(float))
+    if not np.all(s_tail > 0):
+        got = s_tail[0] if scalar else s_tail
+        raise DomainError(f"tail exponent must be positive, got {got}")
     rel = cfg.rel_tol
 
-    def logg(x):
-        x = np.asarray(x, dtype=float)
+    def logg(x, idx):
         with np.errstate(divide="ignore"):
-            powpart = (2.0 * power + 1.0) * np.log(x)
-        return _LOG2 + powpart + log_smooth(x * x)
+            powpart = np.log(x)[:, None] * (2.0 * power[idx] + 1.0)
+        return _LOG2 + powpart + family(x * x, idx)
 
-    def logf_point(th):
-        return power * math.log(th) + float(
-            np.asarray(log_smooth(np.array([th])))[0])
+    def logf_point(th, idx):
+        return power[idx] * math.log(th) + family(np.array([th]), idx)[0]
 
     budget = cfg.max_subdivisions
     u_hi = _THETA_START
+    idx = np.arange(len(power))
     logval, logerr, ni = quad_gk_log(
-        logg, 0.0, math.sqrt(u_hi), rel_tol=rel, max_subdivisions=budget)
+        logg, 0.0, math.sqrt(u_hi), rel_tol=rel, max_subdivisions=budget,
+        members=len(idx))
+    logval, logerr = logval.tolist(), logerr.tolist()
     nodes = 15 * ni
     log_target = math.log(rel / 2.0)
+    log_s = [math.log(s) for s in s_tail]
     for _ in range(240):
-        f_half = logf_point(u_hi / 2.0)
-        f_edge = logf_point(u_hi)
-        past_peak = f_edge < f_half
-        log_tail = f_edge + math.log(u_hi) - math.log(s_tail)
-        tail_ok = past_peak and logval > LOG_ZERO and (
-            log_tail <= log_target + logval)
-        seg_floor = (logval + math.log(rel / 4.0)) if logval > LOG_ZERO \
-            else LOG_ZERO
+        f_half = logf_point(u_hi / 2.0, idx)
+        f_edge = logf_point(u_hi, idx)
+        tail = {}
+        seg_floor = np.empty(len(idx))
+        for i, k in enumerate(idx):
+            log_tail = float(f_edge[i]) + math.log(u_hi) - log_s[k]
+            if f_edge[i] < f_half[i] and logval[k] > LOG_ZERO and (
+                    log_tail <= log_target + logval[k]):
+                tail[i] = log_tail
+            seg_floor[i] = (logval[k] + math.log(rel / 4.0)) \
+                if logval[k] > LOG_ZERO else LOG_ZERO
         seg_val, seg_err, ni = quad_gk_log(
-            logg, math.sqrt(u_hi), math.sqrt(2.0 * u_hi),
-            rel_tol=rel, max_subdivisions=budget, log_floor=seg_floor)
+            lambda x, sub: logg(x, idx[sub]), math.sqrt(u_hi),
+            math.sqrt(2.0 * u_hi), rel_tol=rel, max_subdivisions=budget,
+            log_floor=seg_floor, members=len(idx))
         nodes += 15 * ni
-        logval = log_add(logval, seg_val)
-        logerr = log_add(logerr, seg_err)
         u_hi *= 2.0
-        if tail_ok and seg_val <= log_tail + math.log(50.0):
-            # verification octave consistent with the tail model; what is
-            # left beyond u_hi is bounded by the model and goes into the
-            # error estimate
-            logerr = log_add(logerr, log_tail)
-            return logval, logerr, nodes
+        still_open = []
+        for i, k in enumerate(idx):
+            logval[k] = log_add(logval[k], float(seg_val[i]))
+            logerr[k] = log_add(logerr[k], float(seg_err[i]))
+            if i in tail and seg_val[i] <= tail[i] + math.log(50.0):
+                # verification octave consistent with the tail model; what
+                # is left beyond u_hi is bounded by the model and goes into
+                # the error estimate
+                logerr[k] = log_add(logerr[k], tail[i])
+            else:
+                still_open.append(k)
+        if not still_open:
+            if scalar:
+                return logval[0], logerr[0], nodes
+            return np.array(logval), np.array(logerr), nodes
+        idx = np.array(still_open)
     raise QuadratureFailure(
         "theta integral failed to localize its mass within 240 octaves")

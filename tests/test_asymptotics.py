@@ -31,6 +31,23 @@ from lpvol.oracles import ball_vj
 
 
 class TestPhaseMaximizer:
+    def test_each_point_is_solved_once(self, cfg, monkeypatch):
+        # a bulk table over n at one beta = j/n asks for the same phase
+        # point on every row
+        from lpvol import asymptotics
+        calls = []
+        solve_step = asymptotics._log_g_and_slope
+        monkeypatch.setattr(asymptotics, "_log_g_and_slope",
+                            lambda *a: calls.append(a) or solve_step(*a))
+        asymptotics._solve_phase.cache_clear()
+        first = phase_maximizer(1.7, 0.5, cfg)
+        steps = len(calls)
+        assert steps > 0
+        for n in (20, 40, 80):
+            bulk_asymptotic(1.7, n, n // 2, cfg)
+        assert len(calls) == steps
+        assert phase_maximizer(np.float64(1.7), 0.5) is first
+
     def test_round_ball_closed_form(self):
         # for p = 2 the critical equation reduces to theta = (1-b)/b
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9):

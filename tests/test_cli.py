@@ -17,6 +17,8 @@ import pytest
 
 from lpvol import cli
 from lpvol.cli import main
+from lpvol.exactvol import (PBallSpec, intrinsic_volume,
+                            intrinsic_volume_weighted)
 
 
 def run(capsys, argv):
@@ -92,6 +94,31 @@ class TestIntrinsicCommand:
                   - math.log(unit))
         assert gap <= err_w + err_u
 
+    @pytest.mark.parametrize("argv, weights", [
+        (["-p", "3", "-n", "60"], None),
+        (["-p", "3", "-n", "5", "--weights", "1,2,0.5,1.5,0.8"],
+         (1.0, 2.0, 0.5, 1.5, 0.8)),
+        (["-p", "1.5", "-n", "5", "--weights", "1,2,0.5,1.5,0.8"],
+         (1.0, 2.0, 0.5, 1.5, 0.8)),
+    ])
+    def test_all_rows_match_single_index_calls(self, capsys, cfg, argv,
+                                               weights):
+        # --all integrates every j on one shared theta mesh; each row must
+        # agree with the single-index call within its own reported error
+        rc, out, _ = run(capsys, ["intrinsic", *argv, "--all",
+                                  "--format", "json"])
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        n = int(argv[3])
+        spec = (PBallSpec.unit(float(argv[1]), n) if weights is None
+                else PBallSpec(float(argv[1]), weights))
+        route = intrinsic_volume if weights is None \
+            else intrinsic_volume_weighted
+        assert [row[0] for row in rows] == list(range(n + 1))
+        for j, value, _, err in rows:
+            single = route(spec, j, cfg)
+            assert abs(value - single.value.value) <= value * err, j
+
     def test_weight_length_mismatch(self, capsys):
         rc, _, err = run(capsys, [
             "intrinsic", "-p", "2", "-n", "3", "-j", "1", "--weights", "1,2",
@@ -141,12 +168,27 @@ class TestOutputContract:
         # of the time, so one passing run of them proved little.
         for argv in (self.ARGV + ["--format", "json"],
                      ["intrinsic", "-p", "3", "-n", "60", "--all"],
+                     ["intrinsic", "-p", "1.5", "-n", "5", "--all",
+                      "--weights", "1,2,0.5,1.5,0.8"],
                      ["asymptotic", "-p", "1.5", "--regime", "bulk",
                       "--alpha", "0.5", "--n", "20,40,80,160"]):
             rc, first, _ = run(capsys, argv)
             _, second, _ = run(capsys, argv)
             assert rc == 0
             assert first == second, argv
+
+    def test_fresh_processes_print_the_same_table(self):
+        # a process's first --all table, with the F-interpolant built
+        # inside it, is what a user gets
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "lpvol.cli", "intrinsic", "-p", "3",
+                "-n", "60", "--all"]
+        first, second = (subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=120,
+            check=True).stdout for _ in range(2))
+        assert first.count("\n") == 63
+        assert first == second
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, self.ARGV)

@@ -9,7 +9,8 @@ from scipy.special import ellipe
 
 from lpvol.errors import DomainError
 from lpvol.exactvol import (MomentRequest, PBallSpec, intrinsic_volume,
-                            intrinsic_volume_weighted, key_integral,
+                            intrinsic_volume_weighted, intrinsic_volumes,
+                            key_integral,
                             kubota_projection_factor, mean_projection_volume,
                             mixed_moment, mixed_moment_log,
                             steiner_polynomial, surface_moment, volume)
@@ -102,6 +103,36 @@ class TestUnitIntrinsicVolumes:
                     .value.value for p in (1.4, 2.0, 3.0, 6.0)]
             assert all(a < b * (1.0 + 1e-12)
                        for a, b in zip(vals, vals[1:]))
+
+
+class TestIntrinsicVolumeFamilies:
+    @pytest.mark.parametrize("p, weights, j, nodes", [
+        (3.0, (1.0,) * 60, 30, 165),
+        (1.5, (1.0,) * 160, 1, 330),
+        (1.5, (1.0,) * 160, 159, 105),
+        (3.0, (1.0, 2.0, 0.5, 1.5, 0.8, 1.2), 3, 390),
+    ])
+    def test_single_index_mesh_is_unchanged(self, cfg, p, weights, j, nodes):
+        # node counts of the one-integral-per-index engine: a family of
+        # one must refine exactly as it did
+        spec = PBallSpec(p, weights)
+        route = intrinsic_volume if spec.is_unit else intrinsic_volume_weighted
+        assert route(spec, j, cfg).theta_nodes == nodes
+
+    @pytest.mark.parametrize("weights", [(1.0,) * 5,
+                                         (1.0, 2.0, 0.5, 1.5, 0.8)])
+    def test_order_duplicates_and_closed_forms(self, cfg, weights):
+        spec = PBallSpec(3.0, weights)
+        res = intrinsic_volumes(spec, [5, 2, 0, 2], cfg)
+        assert [r.j for r in res] == [5, 2, 0, 2]
+        assert res[0].value.log_abs == volume(spec).log_abs
+        assert res[0].theta_nodes == 0
+        assert res[1] == res[3]
+        assert res[1].theta_nodes > 0
+
+    def test_index_out_of_range(self, cfg):
+        with pytest.raises(DomainError, match="outside 0..4"):
+            intrinsic_volumes(PBallSpec.unit(3.0, 4), [1, 5], cfg)
 
 
 class TestWeightedIntrinsicVolumes:
@@ -277,6 +308,22 @@ class TestSteinerPolynomial:
     def test_rejects_negative_offset(self, cfg):
         with pytest.raises(DomainError):
             steiner_polynomial(PBallSpec.unit(2.0, 2), -0.1, cfg)
+
+    @pytest.mark.parametrize("p, weights, t, value", [
+        (2.0, (1.0, 1.0), 0.5, 7.068583470522154),
+        (2.0, (1.0, 1.0, 1.0), 0.5, 14.137166941074069),
+        (3.0, (1.0, 1.0), 0.5, 7.691172233986194),
+        (1.5, (1.0, 1.0, 1.0), 1.0, 28.640892342610208),
+        (1.5, (1.0, 2.0), 0.5, 4.469772541295696),
+        (1.5, (1.0, 2.0, 1.0), 1.0, 22.57078840174202),
+        (3.0, (0.5, 1.0, 2.0), 0.3, 13.177904657248273),
+    ])
+    def test_values_of_one_integral_per_index(self, cfg, p, weights, t,
+                                              value):
+        # recorded when each V_j was its own theta integral; one shared
+        # mesh per body must give the same polynomial
+        assert steiner_polynomial(PBallSpec(p, weights), t, cfg) == \
+            pytest.approx(value, rel=1e-12)
 
 
 class TestPolytopeLimits:
