@@ -4,10 +4,10 @@ One refinement loop (_refine) drives two GK15 kernels: a linear-domain
 kernel for vector-valued integrands (many components evaluated on one
 shared grid, refined until every component meets its tolerance; quad_gk)
 and a log-domain kernel for positive integrands whose magnitude can reach
-exp(+-1e5) (quad_gk_log).  The log kernel is vector-valued too: a family
-of K log integrands shares one mesh, which is refined until every member
-meets its own relative tolerance; a member that has met it is not
-evaluated again.  Each engine supplies its kernel and its convergence
+exp(+-1e5) (quad_gk_log).  The log kernel always integrates a family:
+K log integrands (K = 1 included) share one mesh, which is refined until
+every member meets its own relative tolerance; a member that has met it
+is not evaluated again.  Each engine supplies its kernel and its convergence
 test.  The base rule is the 15-point Kronrod extension of
 7-point Gauss; the error model is the classical
 (200 |K - G| / resasc)^{3/2} rescaling.
@@ -203,27 +203,19 @@ def quad_gk(f, a, b, *, rel_tol, abs_tol, max_subdivisions):
                    max_subdivisions, "GK15")
 
 
-def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, log_floor=LOG_ZERO,
-                members=None):
-    """Integrate exp(logf) over [a, b] entirely in log space.
+def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, members,
+                log_floor=LOG_ZERO):
+    """Integrate a family of K = members integrands exp(logf) over [a, b]
+    on one shared mesh, entirely in log space.
 
-    logf maps (nx,) nodes to (nx,) log-integrand values (-inf allowed).
-    Returns (log integral, log error estimate, intervals).  Termination:
-    total log-error <= max(log_floor, log(rel_tol) + log integral).
-
-    For a family of K = members integrands on one shared mesh, logf(x, idx)
-    returns (nx, len(idx)) values of the members idx, log_floor is a
-    scalar or a (K,) array, and the first two results are (K,) arrays.
-    A member is frozen once it meets its own tolerance: later sweeps
-    neither evaluate it nor split intervals for it.
+    logf(x, idx) maps (nx,) nodes to (nx, len(idx)) log-integrand values
+    (-inf allowed) of the members idx.  log_floor is a scalar or a (K,)
+    array.  Returns ((K,) log integrals, (K,) log error estimates,
+    intervals).  Termination, per member: total log-error <=
+    max(log_floor, log(rel_tol) + log integral).  A member is frozen once
+    it meets its own tolerance: later sweeps neither evaluate it nor
+    split intervals for it.
     """
-    scalar = members is None
-    if scalar:
-        f_one = logf
-
-        def logf(x, idx):
-            return np.asarray(f_one(x), dtype=float)[:, None]
-        members = 1
     log_floor = np.broadcast_to(np.asarray(log_floor, dtype=float),
                                 (members,))
     log_rel = math.log(rel_tol)
@@ -252,9 +244,7 @@ def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, log_floor=LOG_ZERO,
         errtotal[idx[done]] = logerrtot[done]
         live[idx[done]] = False
         if not live.any():
-            result = (float(total[0]), float(errtotal[0])) if scalar else (
-                total, errtotal)
-            return result, None, None, None
+            return (total, errtotal), None, None, None
         errs, logtol, logerrtot = errs[~done], logtol[~done], logerrtot[~done]
         bad = (errs > (logtol - math.log(2.0 * ni))[:, None]).any(axis=0)
         worst = np.argmax(logerrtot - logtol)

@@ -43,8 +43,9 @@ concave log-integrand, and kept in log form, since the value can exceed
 a double.  Each log value comes with a bound on its error, from the GK
 error estimates of its pieces.
 
-The theta integrals do not call that table per node.  They read F from
-f_family_log_interp: for one p, one set of nu columns and one config, a
+No caller runs that table per value.  Every one reads F from
+f_family_log_interp (f_family_log_table, f_family and ijkl return its
+values): for one p, one set of nu columns and one config, a
 piecewise Chebyshev interpolant of degree 40 in y = log1p(t) of
 
     g(y) = log F_p(t; nu) + s y,    s = (nu+1)/(2p-2),
@@ -63,10 +64,8 @@ the node error is the table's GK estimate plus the rounding of the log
 terms that cancel in g, and Lambda = 1 + (2/pi) log(41) bounds the
 Lebesgue constant.  Values are the barycentric formula of the second
 kind on the panel's Chebyshev points, one matrix product per panel and
-block of rows.  The direct table stays the node evaluator, the
-reference the tests hold to mpmath, and, through the row cache of
-f_family_log_table, the evaluator of the scalar callers (asymptotics,
-maxwell).
+block of rows.  The direct table stays only as the node evaluator and
+as the reference the tests hold to mpmath.
 """
 
 from __future__ import annotations
@@ -238,8 +237,6 @@ def _log_upper_limit(cs, e_c, e_1, nus, cfg):
 # ---------------------------------------------------------------------------
 # core table
 
-_CACHE: dict = {}
-_CACHE_LIMIT = 500_000
 # log of the largest ratio u_hi / split integrated on a linear u scale
 _LOG_WIDE_SPAN = math.log(1e4)
 # where [0, inf) is cut: for nu < 0 the piece below it, with the u^nu
@@ -404,33 +401,10 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
 def f_family_log_table(p, ts, nus, cfg=None):
     """log F_p(t; nu) for every (t, nu) pair; shape (len(ts), len(nus)).
 
-    The direct evaluator (_direct_log_table) behind a row cache per
-    (p, t, nu set, config), which serves the scalar callers: their root
-    solves revisit the same t.
+    The values of f_family_log_interp, so the scalar callers (phase
+    solves, limit laws) read the interpolant the theta integrals read.
     """
-    cfg = _cfg(cfg)
-    p = as_exponent(p)
-    ts = np.asarray(ts, dtype=float)
-    nus = np.asarray(nus, dtype=float)
-    _check_args(ts, nus)
-    uts, t_inv = np.unique(ts, return_inverse=True)
-    unus, n_inv = np.unique(nus, return_inverse=True)
-    key_tail = (tuple(unus), cfg.cache_key())
-    out = np.full((len(uts), len(unus)), np.nan)
-    miss = []
-    for i, t in enumerate(uts):
-        got = _CACHE.get((p, t) + key_tail)
-        if got is None:
-            miss.append(i)
-        else:
-            out[i] = got
-    if miss:
-        out[miss] = _direct_log_table(p, uts[miss], unus, cfg)[0]
-        if len(_CACHE) > _CACHE_LIMIT:
-            _CACHE.clear()
-        for i in miss:
-            _CACHE[(p, uts[i]) + key_tail] = out[i].copy()
-    return out[np.ix_(t_inv, n_inv)]
+    return f_family_log_interp(p, ts, nus, cfg)[0]
 
 
 def _direct_log_table(p, ts, nus, cfg):
@@ -590,7 +564,8 @@ class _LogFInterpolant:
             lo, hi, vals = self.panels
             end = hi[-1] if len(hi) else 0.0
             built = []
-            while end < y_max:
+            # the first panel is built even for y_max = 0 (t = 0 only)
+            while end < y_max or not (len(hi) or built):
                 nxt = next((b for b in _BREAKS if b > end),
                            min(2.0 * end, _Y_LIMIT))
                 self._panel(self._fit(end, nxt), 0, built)
@@ -643,8 +618,8 @@ def _interpolant(p, nus, cfg):
 def f_family_log_interp(p, ts, nus, cfg=None):
     """log F_p(t; nu) from the interpolant of this (p, nu set, config).
 
-    Returns (values, bounds): values of shape (len(ts), len(nus)) as
-    f_family_log_table gives them, and per nu column a bound on the
+    Returns (values, bounds): values of shape (len(ts), len(nus)), one
+    per (t, nu) pair, and per nu column a bound on the
     absolute error of log F over every panel built so far.  The
     interpolant is built on first use and extended when a larger t is
     asked for.

@@ -19,9 +19,10 @@ def sqrt_and_cube(x):
     return np.stack([np.sqrt(x), x ** 3])
 
 
-def steep(x):
-    # log of exp(1e5 x): the integral over [0, 1] overflows a double
-    return 1e5 * x
+def steep(x, idx):
+    # log of exp(1e5 x), a family of one member: the integral over [0, 1]
+    # overflows a double
+    return 1e5 * x[:, None]
 
 
 LOG_STEEP = 1e5 - math.log(1e5) + math.log1p(-math.exp(-1e5))
@@ -70,48 +71,54 @@ class TestLinearEngine:
 
 
 class TestLogEngine:
+    """The log kernel on a family of one member."""
+
     def test_beyond_double_range(self):
         logval, logerr, ni = quad_gk_log(steep, 0.0, 1.0, rel_tol=1e-10,
-                                         max_subdivisions=512)
-        assert logval == pytest.approx(LOG_STEEP, abs=1e-9)
-        assert logerr <= math.log(1e-10) + logval
+                                         max_subdivisions=512, members=1)
+        assert logval.shape == logerr.shape == (1,)
+        assert logval[0] == pytest.approx(LOG_STEEP, abs=1e-9)
+        assert logerr[0] <= math.log(1e-10) + logval[0]
         assert 1 < ni <= 512
 
     def test_log_floor_ends_refinement_early(self):
-        def log_sqrt(x):
+        def log_sqrt(x, idx):
             with np.errstate(divide="ignore"):
-                return 0.5 * np.log(x)
+                return 0.5 * np.log(x)[:, None]
 
         _, _, ni_full = quad_gk_log(log_sqrt, 0.0, 1.0, rel_tol=1e-10,
-                                    max_subdivisions=512)
+                                    max_subdivisions=512, members=1)
         floor = math.log(1e-4)
         logval, logerr, ni = quad_gk_log(log_sqrt, 0.0, 1.0, rel_tol=1e-10,
-                                         max_subdivisions=512,
+                                         max_subdivisions=512, members=1,
                                          log_floor=floor)
         assert ni < ni_full
-        assert logerr <= floor
-        assert math.exp(logval) == pytest.approx(2.0 / 3.0, abs=1e-4)
+        assert logerr[0] <= floor
+        assert math.exp(logval[0]) == pytest.approx(2.0 / 3.0, abs=1e-4)
 
     def test_zero_integrand(self):
         logval, _, ni = quad_gk_log(
-            lambda x: np.full_like(x, LOG_ZERO), 0.0, 1.0, rel_tol=1e-10,
-            max_subdivisions=512)
-        assert logval == LOG_ZERO and ni == 1
+            lambda x, idx: np.full((len(x), 1), LOG_ZERO), 0.0, 1.0,
+            rel_tol=1e-10, max_subdivisions=512, members=1)
+        assert logval[0] == LOG_ZERO and ni == 1
 
     def test_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure,
                            match="log-GK15 budget of 4 intervals"):
-            quad_gk_log(steep, 0.0, 1.0, rel_tol=1e-10, max_subdivisions=4)
+            quad_gk_log(steep, 0.0, 1.0, rel_tol=1e-10, max_subdivisions=4,
+                        members=1)
 
     def test_interval_count_within_budget(self):
         counts = budget_sweep(lambda budget: quad_gk_log(
-            steep, 0.0, 1.0, rel_tol=1e-6, max_subdivisions=budget))
+            steep, 0.0, 1.0, rel_tol=1e-6, max_subdivisions=budget,
+            members=1))
         assert all(ni <= budget for budget, ni in counts.items())
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0)])
     def test_empty_interval(self, a, b):
         with pytest.raises(DomainError):
-            quad_gk_log(steep, a, b, rel_tol=1e-10, max_subdivisions=512)
+            quad_gk_log(steep, a, b, rel_tol=1e-10, max_subdivisions=512,
+                        members=1)
 
 
 def unit_family(p, n, js, cfg):
@@ -141,14 +148,6 @@ def log_beta_family(th, idx):
 
 
 class TestVectorLogKernel:
-    def test_single_member_matches_scalar_call(self):
-        scalar = quad_gk_log(steep, 0.0, 1.0, rel_tol=1e-10,
-                             max_subdivisions=512)
-        vec = quad_gk_log(lambda x, idx: steep(x)[:, None], 0.0, 1.0,
-                          rel_tol=1e-10, max_subdivisions=512, members=1)
-        assert vec[0].shape == vec[1].shape == (1,)
-        assert (vec[0][0], vec[1][0], vec[2]) == scalar
-
     def test_single_member_theta_integral_matches_scalar_call(self, cfg):
         power, log_smooth, s_tail = unit_family(3.0, 60, [30], cfg)
         vec = log_theta_integral(power, log_smooth, s_tail, cfg)

@@ -7,11 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from lpvol import specfun
+from lpvol.asymptotics import exp_profile
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, intrinsic_volume
-from lpvol.specfun import (DEFAULT_CONFIG, IJKL, PExponent, QuadConfig,
-                           _direct_log_table, _interpolant,
-                           _log_upper_limit, _tail_cutoff,
+from lpvol.maxwell import LimitLaw, limit_moment
+from lpvol.specfun import (_DEGREE, DEFAULT_CONFIG, IJKL, PExponent,
+                           QuadConfig, _direct_log_table, _interpolant,
+                           _LogFInterpolant, _log_upper_limit, _tail_cutoff,
                            as_exponent, f_family, f_family_at_zero,
                            f_family_at_zero_log, f_family_large_t,
                            f_family_log, f_family_log_interp,
@@ -24,6 +27,18 @@ from .reference import (F3_AT_ZERO, HALF_PERIMETER_NEAR_ONE,
 
 P_GRID = (1.2, 1.5, 2.0, 3.0, 5.0)
 T_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def direct_log(p, t, nu, cfg=DEFAULT_CONFIG) -> float:
+    """log F_p(t; nu) from the direct table, the interpolant's node
+    evaluator."""
+    return float(_direct_log_table(p, np.array([float(t)]),
+                                   np.array([float(nu)]), cfg)[0][0, 0])
+
+
+# the two evaluators of log F: the interpolant every caller reads (through
+# f_family_log) and the direct table behind its nodes
+LOG_F_EVALUATORS = (f_family_log, direct_log)
 
 
 class TestExponent:
@@ -43,7 +58,9 @@ class TestClosedForms:
         for p in P_GRID:
             for nu in (0.0, 0.7, 2.0, p - 2.0):
                 ref = 2.0 / p * math.gamma((nu + 1.0) / p)
-                assert f_family(p, 0.0, nu) == pytest.approx(ref, rel=1e-12)
+                for log_f in LOG_F_EVALUATORS:
+                    assert math.exp(log_f(p, 0.0, nu)) == pytest.approx(
+                        ref, rel=1e-12)
                 assert f_family_at_zero(p, nu) == pytest.approx(ref,
                                                                rel=1e-14)
 
@@ -54,8 +71,9 @@ class TestClosedForms:
         # point: one GK15 panel read log F 1.15 low at p = 1.001,
         # nu = -0.5, and 4.4e-4 high at p = 1.005, nu = -0.999
         for nu in (-0.999, -0.5, p - 2.0):
-            assert f_family_log(p, 0.0, nu) == pytest.approx(
-                f_family_at_zero_log(p, nu), rel=1e-13, abs=1e-13)
+            for log_f in LOG_F_EVALUATORS:
+                assert log_f(p, 0.0, nu) == pytest.approx(
+                    f_family_at_zero_log(p, nu), rel=1e-13, abs=1e-13)
 
     def test_frozen_cube_root_value(self):
         assert f_family(3.0, 0.0, 0.0) == pytest.approx(F3_AT_ZERO,
@@ -74,7 +92,9 @@ class TestClosedForms:
         for t in (0.0, 0.3, 4.0):
             for nu in (p - 2.0, 0.0, 2.0 * p - 2.0):
                 ref = f_ref(p, t, nu)
-                assert f_family(p, t, nu) == pytest.approx(ref, rel=1e-9)
+                for log_f in LOG_F_EVALUATORS:
+                    assert math.exp(log_f(p, t, nu)) == pytest.approx(
+                        ref, rel=1e-9)
 
 
 class TestShapeAndMonotonicity:
@@ -180,8 +200,8 @@ class TestNuNearMinusOne:
     def test_log_f_against_frozen_reference(self, nu):
         for (p, t, q), ref in LOG_F_NU_NEAR_MINUS_ONE.items():
             if q == nu:
-                assert f_family_log(p, t, nu) == pytest.approx(ref,
-                                                               abs=1e-12)
+                for log_f in LOG_F_EVALUATORS:
+                    assert log_f(p, t, nu) == pytest.approx(ref, abs=1e-12)
 
 
 class TestInterpolant:
@@ -228,6 +248,36 @@ class TestInterpolant:
             want = math.lgamma(s) - s * np.log1p(ts)
             assert np.all(np.abs(vals[:, c] - want)
                           <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_t_zero_alone_builds_the_first_panel(self):
+        # a fresh interpolant asked for t = 0 alone (y = 0) must build its
+        # first panel, not index an empty panel list
+        p, nus = 3.0, np.array([0.0, 1.0])
+        interp = _LogFInterpolant(p, nus, DEFAULT_CONFIG)
+        vals = interp(np.array([0.0]))
+        assert interp.panels[1][0] == 1.0
+        for c, nu in enumerate(nus):
+            assert abs(vals[0, c] - f_family_at_zero_log(p, nu)) \
+                <= interp.error[c]
+
+    def test_scalar_callers_read_panel_nodes_only(self, monkeypatch):
+        # one evaluator: the phase solves of exp_profile and the
+        # normalisers and moment of the bulk law read the interpolant, so
+        # the direct table runs on one panel's Chebyshev nodes at a time
+        rows = []
+
+        def counted(p, ts, nus, cfg):
+            rows.append(len(ts))
+            return _direct_log_table(p, ts, nus, cfg)
+
+        monkeypatch.setattr(specfun, "_direct_log_table", counted)
+        # a config of its own gives fresh interpolants and phase solves
+        cfg = QuadConfig(max_subdivisions=508)
+        for alpha in np.linspace(0.0, 1.0, 21):
+            exp_profile(3.0, alpha, cfg)
+        law = LimitLaw.bulk(1.5, 0.5, cfg)
+        limit_moment(law, 2.0, cfg)
+        assert rows and all(r == _DEGREE + 1 for r in rows)
 
     def test_extends_past_1e20_on_demand(self):
         # a config of its own gives a fresh interpolant
