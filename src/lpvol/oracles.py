@@ -7,6 +7,11 @@ scipy's QUADPACK bindings; parallel-body volumes come from hit-or-miss
 Monte Carlo backed by an exact Euclidean projection onto the ball.  The
 test suite plays these references against the exactvol routines, and the
 command-line `validate` suites reuse them.
+
+A Monte Carlo draw is classified by the first certified bound on its
+distance to the body that decides it: |x| against the radii of balls
+inside and around B (Hoelder, moved outward past rounding), then the
+gauge, then the support plane; only the sliver left is projected.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BATCH = 65_536
+_NUDGE = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -200,69 +206,112 @@ def ellipsoid_vj(semiaxes: Sequence[float], j: int, cfg: QuadConfig = None,
     return kappa(j) * total
 
 
+def _pnorm(z: np.ndarray, p: float) -> np.ndarray:
+    """(sum_i z_i^p)^(1/p) per row of z >= 0, taken as m (sum_i
+    (z_i/m)^p)^(1/p) with m the row maximum, so that no power overflows
+    at large p (nor at q = p/(p-1) near p = 1)."""
+    m = z.max(axis=1)
+    terms = (z / np.where(m > 0.0, m, 1.0)[:, None]) ** p
+    return m * terms.sum(axis=1) ** (1.0 / p)
+
+
+def _radii(spec: PBallSpec, t: float) -> tuple[float, float]:
+    """(r_in + t, r_out + t) with r_in B_2 inside B inside r_out B_2.
+
+    By Hoelder ||v||_2 and ||v||_p differ by at most n^|1/2 - 1/p|, and
+    a_i scales coordinate i: r_in = n^min(0, 1/2 - 1/p) / max a, r_out =
+    n^max(0, 1/2 - 1/p) / min a.  Both move outward by 16 ulp, more than
+    the rounding of the powers, of the sum with t and of |x|^2, so
+    |x| <= r_in + t certifies a hit and |x| > r_out + t a miss.
+    """
+    k = 0.5 - 1.0 / spec.p
+    a = spec.weights
+    return ((spec.n ** min(0.0, k) / a.max() + t) * (1.0 - _NUDGE),
+            (spec.n ** max(0.0, k) / a.min() + t) * (1.0 + _NUDGE))
+
+
 def _project_outside(spec: PBallSpec, x: np.ndarray) -> np.ndarray:
     """Project points with gauge > 1 onto the boundary (coordinates >= 0).
 
-    KKT system: y_i + c_i y_i^(p-1) = x_i with c_i = mu p a_i^p and a
-    multiplier mu > 0 chosen so that sum_i (a_i y_i)^p = 1; both levels
-    go through solve_increasing.  Inner: both terms on the left are
-    non-negative, so y <= u = min(x, (x/c)^(1/(p-1))), and one is at
-    least x/2, so y >= u 2^(-max(1, 1/(p-1))); p = 2 is solved directly.
-    Outer, in s = log mu, bracketed by doubling or halving mu from 1:
-    the inner equation gives mu dy/dmu = -c y^(p-1)/(1 + c(p-1) y^(p-2))
-    = -y (x-y)/(y + (p-1)(x-y)), as c y^(p-1) = x - y.
+    In z = a y the KKT system is z_i + c_i z_i^(p-1) = xi_i, xi = a x,
+    c_i = mu p a_i^2, with mu > 0 such that sum_i z_i^p = 1 (no a_i^p,
+    and z <= 1 at the root); both levels go through solve_increasing.
+    Inner, in v = log z (finite bracket and O(1) Newton steps near
+    p = 1): one term on the left is at least xi/2, so u 2^(-max(1,
+    1/(p-1))) <= z <= u = min(xi, (xi/c)^(1/(p-1))); it starts from the
+    previous outer step's v moved by dv/ds = -(xi-z)/(z + (p-1)(xi-z))
+    (c z^(p-1) = xi - z), first from the radial point rho = xi / gauge.
+    p = 2 is direct.  Outer, in s = log mu: from the radial estimate
+    mu_0 = <x - r, g>/|g|^2, r = x / gauge, g = p a^p r^(p-1), which is
+    (gauge - 1) / (p sum_i a_i^2 rho_i^(2p-2)), doubling or halving mu
+    brackets the root, and Newton starts from the step taken at mu_0.
+    Overflow far from the root leaves the signs that steer the bracket.
     """
-    p = spec.p
+    p, a = spec.p, spec.weights
     e = p - 1.0
+    xi = x * a
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gauge = _pnorm(xi, p)
+        rho = xi / gauge[:, None]
+        s0 = np.log((gauge - 1.0)
+                    / (p * np.sum(a * a * rho ** (2.0 * e), axis=1)))
+        log_pa2 = np.log(p * a * a)
+        log_xi = np.log(xi)
+        # last inner solution (s, v = log z) and dv/ds there
+        warm = [s0, np.log(rho), np.zeros_like(xi)]
 
-    def inner(s):
-        c = (p * np.exp(s))[:, None] * spec.weights ** p
-        if p == 2.0:
-            return x / (1.0 + c)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = np.minimum(x, (x / c) ** (1.0 / e))
+        def inner(s):
+            log_c = s[:, None] + log_pa2
+            if p == 2.0:
+                return xi / (1.0 + np.exp(log_c))
+            log_u = np.minimum(log_xi, (log_xi - log_c) / e)
 
-            def f(y):
-                term = c * y ** e
-                return y + term - x, 1.0 + e * term / y
+            def f(v):
+                z = np.exp(v)
+                term = np.exp(log_c + e * v)
+                return z + term - xi, z + e * term
 
-            return solve_increasing(f, u * 2.0 ** -max(1.0, 1.0 / e), u)
+            s_old, v_old, dv = warm
+            v = solve_increasing(f, log_u - max(1.0, 1.0 / e) * _LOG2, log_u,
+                                 start=v_old + (s - s_old)[:, None] * dv)
+            warm[:2] = s, v
+            return np.exp(v)
 
-    def outer(s):
-        y = inner(s)
-        ay = (spec.weights[None, :] * y) ** p
-        r = x - y
-        den = y + e * r
-        # -d/ds (a y)^p / p per coordinate; 0 where x = y = 0
-        fall = ay * r / np.where(den > 0.0, den, 1.0)
-        return 1.0 - ay.sum(axis=1), p * fall.sum(axis=1)
+        def outer(s):
+            z = inner(s)
+            zp = z ** p
+            r = xi - z
+            den = z + e * r
+            # dv/ds = -r / den; 0 where xi = z = 0
+            warm[2] = dv = -r / np.where(den > 0.0, den, 1.0)
+            return 1.0 - zp.sum(axis=1), -p * (zp * dv).sum(axis=1)
 
-    s = np.zeros(x.shape[0])
-    g = outer(s)[0]
-    up = g < 0.0
-    prev = s
-    for _ in range(200):
-        walking = (g < 0.0) == up
-        if not walking.any():
-            break
-        prev = np.where(walking, s, prev)
-        s = s + walking * np.where(up, _LOG2, -_LOG2)
-        g = outer(s)[0]
-    else:
-        raise ConvergenceFailure("projection multiplier bracket ran away")
-    s = solve_increasing(outer, np.where(up, prev, s), np.where(up, s, prev))
-    y = inner(s)
-    r = np.sum((spec.weights[None, :] * y) ** p, axis=1) - 1.0
-    if np.max(np.abs(r)) > 1e-10:
-        raise ConvergenceFailure(
-            f"projection residual {np.max(np.abs(r)):.3e} above 1e-10")
+        s = s0
+        g, dg = outer(s)
+        newton = s0 - g / dg
+        up = g < 0.0
+        prev = s
+        for _ in range(200):
+            walking = (g < 0.0) == up
+            if not walking.any():
+                break
+            prev = np.where(walking, s, prev)
+            s = s + walking * np.where(up, _LOG2, -_LOG2)
+            g = outer(s)[0]
+        else:
+            raise ConvergenceFailure("projection multiplier bracket ran away")
+        s = solve_increasing(outer, np.where(up, prev, s),
+                             np.where(up, s, prev), start=newton)
+        y = inner(s) / a
+    r = np.max(np.abs(np.sum((a * y) ** p, axis=1) - 1.0))
+    if not r <= 1e-10:
+        raise ConvergenceFailure(f"projection residual {r:.3e} above 1e-10")
     return y
 
 
 def _project_batch(spec: PBallSpec, pts: np.ndarray) -> np.ndarray:
     out = np.array(pts, dtype=float)
-    gauge_p = np.sum(np.abs(out * spec.weights[None, :]) ** spec.p, axis=1)
-    need = gauge_p > 1.0
+    need = _pnorm(np.abs(out) * spec.weights, spec.p) > 1.0
     if np.any(need):
         x = out[need]
         y = _project_outside(spec, np.abs(x))
@@ -290,33 +339,37 @@ def _offset_contains(spec: PBallSpec, pts: np.ndarray,
                      t: float) -> np.ndarray:
     """Membership mask for the parallel body B + t B_2^n.
 
-    Two cheap distance bounds classify almost every point: the radial
-    chord ||x|| (1 - gauge^(-1)) from above and the support-plane gap
-    ||x|| - h(x / ||x||) from below.  Only the sliver between them pays
-    for an exact projection.
+    Each test is a certified bound on d(x, B), and a draw pays only for
+    the tests its position needs, in this order:
+
+    1. |x|^2 alone: |x| <= r_in + t is a hit, |x| > r_out + t a miss;
+    2. in the annulus between, the gauge: the radial chord
+       |x| (1 - 1/gauge) >= d (<= 0 inside B), so at most t is a hit;
+    3. then the support-plane gap |x| - h(x/|x|) <= d, h the support
+       function of B, so above t is a miss;
+    4. only the sliver left pays for an exact projection.
     """
-    a = spec.weights
-    p = spec.p
-    gauge_p = np.sum(np.abs(pts * a[None, :]) ** p, axis=1)
-    res = gauge_p <= 1.0
-    if t == 0.0 or not np.any(~res):
-        return res
-    x = pts[~res]
-    norm = np.linalg.norm(x, axis=1)
-    gauge = gauge_p[~res] ** (1.0 / p)
-    d_up = norm * (1.0 - 1.0 / gauge)
-    q = p / (p - 1.0)
-    h = np.sum((np.abs(x) / (norm[:, None] * a[None, :])) ** q,
-               axis=1) ** (1.0 / q)
-    d_lo = norm - h
-    hit = d_up <= t
-    sliver = ~hit & ~(d_lo > t)
-    if np.any(sliver):
-        xs = x[sliver]
-        ys = np.copysign(_project_outside(spec, np.abs(xs)), xs)
-        hit[sliver] = np.linalg.norm(xs - ys, axis=1) <= t
-    out = res.copy()
-    out[~res] = hit
+    s = np.einsum("ij,ij->i", pts, pts)
+    r_hit, r_miss = _radii(spec, t)
+    out = s <= r_hit * r_hit
+    idx = np.flatnonzero(~out & (s <= r_miss * r_miss))
+    # B is symmetric in each coordinate, so |x| has the same distance
+    ax = np.abs(pts[idx])
+    gauge = _pnorm(ax * spec.weights, spec.p)
+    if t == 0.0:
+        out[idx] = gauge <= 1.0
+        return out
+    norm = np.sqrt(s[idx])
+    near = norm * (1.0 - 1.0 / gauge) <= t
+    out[idx[near]] = True
+    idx, ax, norm = idx[~near], ax[~near], norm[~near]
+    q = spec.p / (spec.p - 1.0)
+    h = _pnorm(ax / (norm[:, None] * spec.weights), q)
+    sliver = ~(norm - h > t)
+    idx, ax = idx[sliver], ax[sliver]
+    if len(idx):
+        dist = np.linalg.norm(ax - _project_outside(spec, ax), axis=1)
+        out[idx] = dist <= t
     return out
 
 

@@ -17,7 +17,8 @@ def solve_increasing(f, lo, hi, start=None):
     """Root of an increasing g on [lo, hi], per component.
 
     f(x) returns (g(x), g'(x)) for an array x shaped like lo and hi.
-    The first iterate is start, inside the bracket, or the midpoint.
+    The first iterate is start, inside the bracket, or the midpoint (also
+    where start is NaN: a NaN iterate would stop its component at once).
     Safeguarded Newton (rtsafe): each iterate shrinks the bracket by the
     sign of g, and the midpoint replaces the Newton point when that
     leaves the bracket or moves more than half the step before last.  A
@@ -29,7 +30,9 @@ def solve_increasing(f, lo, hi, start=None):
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
     tol = _STEP_TOL * np.maximum(np.abs(lo), np.abs(hi))
-    x = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
+    x = 0.5 * (lo + hi)
+    if start is not None:
+        x = np.where(np.isnan(start), x, np.clip(start, lo, hi))
     step = before = hi - lo
     active = np.ones(x.shape, dtype=bool)
     for _ in range(_MAX_STEPS):

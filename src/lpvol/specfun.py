@@ -629,6 +629,8 @@ def f_family_log_interp(p, ts, nus, cfg=None):
     ts = np.asarray(ts, dtype=float)
     nus = np.asarray(nus, dtype=float)
     _check_args(ts, nus)
+    if not nus.size:
+        return np.empty((len(ts), 0)), np.empty(0)
     cols = nus.tolist()
     unus = tuple(sorted(set(cols)))
     interp = _interpolant(p, unus, cfg)

@@ -244,6 +244,28 @@ class TestProjection:
         dists = np.linalg.norm(pts - x, axis=1)
         assert best <= dists.min() + 1e-8
 
+    @pytest.mark.parametrize("p", [1.0005, 1.005, 64.0, 512.0])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1e-3, 1e3)])
+    def test_edge_inputs_land_on_boundary(self, p, weights):
+        # zero and 1e-300 coordinates and points at norm 1e12, all outside
+        # both bodies; any RuntimeWarning fails the test
+        spec = PBallSpec(p, weights)
+        for x in ([0.0, 3e3], [3e3, 0.0], [1e-300, 3e3], [-3e3, -1e-300],
+                  [0.6e12, -0.8e12], [1e-300, 1e12], [2.0, 0.5]):
+            x = np.array(x)
+            y = project_lp_ball(spec, x)
+            assert np.all(np.isfinite(y))
+            assert abs(spec.gauge(y) - 1.0) <= 1e-10
+            assert np.all(y * x >= 0.0) and np.all(y[x == 0.0] == 0.0)
+
+    def test_large_p_no_overflow(self):
+        # sum |a x|^2000 overflows unscaled; the body is nearly the cube,
+        # and the projection clips the first coordinate to (almost) 1
+        spec = PBallSpec(2000.0, (1.0, 1.0, 1.0))
+        y = project_lp_ball(spec, [2.0, 0.5, 0.1])
+        np.testing.assert_allclose(y, [1.0, 0.5, 0.1], rtol=1e-12)
+        assert abs(spec.gauge(y) - 1.0) <= 1e-10
+
     def test_validation(self):
         spec = PBallSpec(2.0, (1.0, 1.0))
         with pytest.raises(DomainError):
@@ -289,7 +311,7 @@ def _reference_project_outside(spec, x):
 
 
 class TestProjectionAgainstReference:
-    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 3.5])
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0, 3.0, 3.5, 8.0])
     def test_offset_hit_flags(self, p, monkeypatch):
         # seeded draws over each bounding box, as steiner_mc_volume makes
         # them; a hit flag may differ only within 1e-10 of the boundary
@@ -314,6 +336,44 @@ class TestProjectionAgainstReference:
                     assert np.all(np.abs(dist - t) <= 1e-10)
                 differing += len(off)
         print(f"p={p}: {differing} of 24000 hit flags differ")
+
+
+class TestClassifier:
+    """The membership test of steiner_mc_volume: certified radii first,
+    then gauge, support-plane bound and projection."""
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 64.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_radii_bracket_boundary(self, p, n, weighted, rng):
+        # boundary points u / gauge(u) in random, axis and diagonal
+        # directions; with unit weights both radii are attained
+        spec = PBallSpec(p, (1.0, 2.0, 0.5)[:n] if weighted else (1.0,) * n)
+        r_in, r_out = oracles._radii(spec, 0.0)
+        u = np.concatenate([rng.normal(size=(20_000, n)), np.eye(n),
+                            np.ones((1, n))])
+        y = u / oracles._pnorm(np.abs(u) * spec.weights, p)[:, None]
+        norm = np.linalg.norm(y, axis=1)
+        assert np.all((r_in <= norm) & (norm <= r_out))
+        if not weighted:
+            assert norm.min() <= r_in * (1.0 + 1e-13)
+            assert norm.max() >= r_out * (1.0 - 1e-13)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0])
+    def test_flags_match_projection_only_route(self, p):
+        # every draw outside B projected; a flag may differ only within
+        # 1e-10 of the boundary of the parallel body
+        for weights in ((1.0, 1.0), (1.0, 2.0, 0.5)):
+            spec = PBallSpec(p, weights)
+            for k, t in enumerate((0.0, 0.1, 1.0)):
+                half = 1.0 / np.asarray(spec.weights) + t
+                pts = (2.0 * stream(23, k).random((20_000, spec.n)) - 1.0
+                       ) * half
+                got = oracles._offset_contains(spec, pts, t)
+                dist = np.linalg.norm(
+                    pts - oracles._project_batch(spec, pts), axis=1)
+                off = got != (dist <= t)
+                assert np.all(np.abs(dist[off] - t) <= 1e-10)
 
 
 class TestSteinerMonteCarlo:
@@ -359,6 +419,18 @@ class TestSteinerMonteCarlo:
         _, se1 = steiner_mc_volume(disk, 1.0, McConfig(sample_count=50000, seed=3))
         _, se4 = steiner_mc_volume(disk, 1.0, McConfig(sample_count=200000, seed=3))
         assert 1.4 <= se1 / se4 <= 2.9
+
+    def test_large_p_against_cube(self):
+        # p = 2000 is within 1e-3 of the cube [-1, 1]^3, whose parallel
+        # volume is sum_j kappa_(3-j) t^(3-j) V_j; no power may overflow
+        t = 0.5
+        est, se = steiner_mc_volume(
+            PBallSpec.unit(2000.0, 3), t, McConfig(sample_count=20000, seed=5)
+        )
+        cube = sum(
+            ball_volume(3 - j) * t ** (3 - j) * cube_vj(3, j) for j in range(4)
+        )
+        assert abs(est - cube) <= 3.0 * se + 1e-3 * cube
 
     def test_zero_growth_recovers_volume(self):
         disk = PBallSpec(2.0, (1.0, 1.0))

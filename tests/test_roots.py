@@ -102,6 +102,15 @@ class TestSolveIncreasing:
             assert batch[i] == solo[0]
         assert batch[3] == 1.0
 
+    def test_start_inside_and_outside_the_bracket(self):
+        # a start is clipped into the bracket; a NaN start is replaced by
+        # the midpoint instead of stopping its component there
+        a = np.array([0.7, 0.7, 0.7, 2.5])
+        start = np.array([0.5, -50.0, np.nan, np.nan])
+        y = solve_increasing(_cubic(a), np.full(4, -10.0), np.full(4, 10.0),
+                             start=start)
+        np.testing.assert_allclose(y, a, rtol=4e-16)
+
     def test_scalar_bracket(self):
         y = solve_increasing(
             lambda x: (math.erf(x) - 0.5,

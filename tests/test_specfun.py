@@ -107,15 +107,27 @@ class TestShapeAndMonotonicity:
                 assert np.all(np.diff(vals) < 0.0)
 
     def test_log_table_matches_scalar(self):
+        # shape and column order against the scalar reader, values against
+        # the direct table within the interpolant's bound plus the direct
+        # table's own error
         p = 1.7
         ts = [0.0, 0.2, 3.0]
         nus = [0.0, p - 2.0, 1.4]
         tab = f_family_log_table(p, ts, nus)
         assert tab.shape == (3, 3)
+        _, bound = f_family_log_interp(p, ts, nus)
+        ref, ref_err = _direct_log_table(p, np.array(ts), np.array(nus),
+                                         DEFAULT_CONFIG)
+        assert np.all(np.abs(tab - ref) <= bound + ref_err)
         for i, t in enumerate(ts):
             for k, nu in enumerate(nus):
                 assert tab[i, k] == pytest.approx(f_family_log(p, t, nu),
                                                   rel=1e-12)
+
+    def test_empty_nu_list(self):
+        assert f_family_log_table(3.0, [0.5, 2.0], []).shape == (2, 0)
+        vals, bound = f_family_log_interp(3.0, [0.5], [])
+        assert vals.shape == (1, 0) and bound.shape == (0,)
 
 
 class TestIdentities:
