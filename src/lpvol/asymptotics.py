@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .logspace import LogValue
-from .roots import solve_increasing
+from .roots import solve_increasing, walk_bracket
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_choose)
 
@@ -33,7 +33,8 @@ __all__ = [
     "PhasePoint", "ProfilePoint", "ProfileReferences",
     "phase", "phase_maximizer", "phase_second_derivative",
     "bulk_asymptotic", "left_edge_asymptotic", "right_edge_asymptotic",
-    "exp_profile", "profile_references", "surface_area_asymptotic",
+    "exp_profile", "face_index", "profile_references",
+    "surface_area_asymptotic",
 ]
 
 _LOG2 = math.log(2.0)
@@ -127,30 +128,32 @@ def phase(p, beta, theta, cfg: QuadConfig = None) -> float:
             + beta * logi + (1.0 - beta) * logj)
 
 
-def _log_g_and_slope(p: float, s: float, cfg: QuadConfig):
-    """log g and theta g'/g at theta = e^s, where g = theta J/I.
+def _log_g_and_slope(p: float, s: np.ndarray, cfg: QuadConfig):
+    """log g and theta g'/g at theta = e^s for an array s, where g =
+    theta J/I, with log I, log J and log K there.
 
     g' = [I (J/2 + pK/(2(p-1))) + theta J K] / I^2 from the JKL identity,
     so theta g'/g = 1/2 + pK/(2(p-1)J) + theta K/I; every term is a
     bounded F-ratio, which keeps the Newton step conditioned for any
     theta.
     """
-    theta = math.exp(s)
-    logi, logj, logk = _log_ijk(p, theta, cfg)
-    log_g = s + logj - logi
-    slope = (0.5 + 0.5 * p / (p - 1.0) * math.exp(logk - logj)
-             + math.exp(s + logk - logi))
-    return log_g, slope, logi, logj, logk
+    nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
+    logi, logj, logk = f_family_log_table(p, np.exp(s), nus, cfg).T
+    slope = (0.5 + 0.5 * p / (p - 1.0) * np.exp(logk - logj)
+             + np.exp(s + logk - logi))
+    return s + logj - logi, slope, logi, logj, logk
 
 
 def phase_maximizer(p, beta, cfg: QuadConfig = None) -> PhasePoint:
     """Solve the critical equation theta J/I = (1-beta)p/(2(p-1)beta).
 
     The auxiliary g(theta) = theta J/I is strictly increasing from 0 to
-    infinity, so a doubling bracket in log theta followed by safeguarded
-    Newton (analytic slope) cannot miss.  Psi'' at the root comes from
-    the analytic form -beta (K/I) g'/g.  Each (p, beta, cfg) is solved
-    once per process: tables over n at one beta ask for it per row.
+    infinity, so in s = log theta a walk from theta = 1, 4x per step
+    (roots.walk_bracket), followed by safeguarded Newton with the
+    analytic slope (roots.solve_increasing) cannot miss.  Psi'' at the
+    root comes from the analytic form -beta (K/I) g'/g.  Each (p, beta,
+    cfg) is solved once per process: tables over n at one beta ask for
+    it per row.
     """
     return _solve_phase(as_exponent(p), _check_beta(beta), _cfg(cfg))
 
@@ -160,41 +163,20 @@ def _solve_phase(p: float, beta: float, cfg: QuadConfig) -> PhasePoint:
     log_rhs = (math.log1p(-beta) + math.log(p)
                - math.log(2.0 * (p - 1.0)) - math.log(beta))
 
-    def w_at(s):
-        log_g, slope, logi, logj, logk = _log_g_and_slope(p, s, cfg)
-        return log_g - log_rhs, slope, logi, logj, logk
+    def w_and_slope(s):
+        log_g, slope = _log_g_and_slope(p, s, cfg)[:2]
+        return log_g - log_rhs, slope
 
-    # walk from theta = 1 toward the root, 4x per step, until w changes sign
-    s = 0.0
-    w, slope, logi, logj, logk = w_at(s)
-    step = 2.0 * _LOG2 if w < 0.0 else -2.0 * _LOG2
-    for _ in range(400):
-        if w == 0.0 or (w > 0.0) == (step > 0.0):
-            break
-        s += step
-        w, slope, logi, logj, logk = w_at(s)
-    else:
-        raise ConvergenceFailure("phase bracket walked off the line")
-    s_lo, s_hi = min(s, s - step), max(s, s - step)
-    for _ in range(100):
-        if w > 0.0:
-            s_hi = s
-        elif w < 0.0:
-            s_lo = s
-        if abs(w) <= 1e-14:
-            break
-        step = -w / slope
-        s_next = s + step
-        if not (s_lo < s_next < s_hi and math.isfinite(s_next)):
-            s_next = 0.5 * (s_lo + s_hi)
-        if s_next == s:
-            break
-        s = s_next
-        w, slope, logi, logj, logk = w_at(s)
+    lo, hi = walk_bracket(lambda s: w_and_slope(s)[0], np.zeros(1),
+                          2.0 * _LOG2)
+    s = float(solve_increasing(w_and_slope, lo, hi)[0])
+    log_g, slope, logi, logj, logk = (
+        float(v[0]) for v in _log_g_and_slope(p, np.array([s]), cfg))
     theta = math.exp(s)
     psi = (0.5 * (1.0 - beta) * s + beta * logi + (1.0 - beta) * logj)
     psi2 = -beta * math.exp(logk - logi) * slope / theta
-    return PhasePoint(p, beta, theta, psi, psi2, abs(math.expm1(w)))
+    return PhasePoint(p, beta, theta, psi, psi2,
+                      abs(math.expm1(log_g - log_rhs)))
 
 
 def phase_second_derivative(p, beta, theta, cfg: QuadConfig = None) -> float:
@@ -253,6 +235,20 @@ def bulk_asymptotic(p, n, j, cfg: QuadConfig = None) -> LogValue:
                        - math.log(-pp.psi2_at_star))
     return LogValue.from_log(log_pref + log_ratio + n * pp.psi_at_star
                              + log_width)
+
+
+def face_index(regime: str, n: int, *, alpha: float = None, j: int = None,
+               m: int = None) -> int:
+    """Index j of the intrinsic volume that row n of a regime follows:
+    floor(alpha n) in the bulk, the fixed j at the left edge, n - m at
+    the right edge.  Callers check the index against their own range."""
+    if regime == "bulk":
+        return int(math.floor(alpha * n))
+    if regime == "left":
+        return int(j)
+    if regime == "right":
+        return int(n) - int(m)
+    raise DomainError(f"unknown regime {regime!r}")
 
 
 def left_edge_asymptotic(p, n, j) -> float:

@@ -32,10 +32,10 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .errors import (ConvergenceFailure, DegenerateInput, DomainError,
                      QuadratureFailure)
 from .specfun import DEFAULT_CONFIG, QuadConfig
@@ -43,9 +43,10 @@ from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volume_weighted,
                        intrinsic_volumes, steiner_polynomial)
 from . import oracles
 from .oracles import McConfig, steiner_mc_volume
-from .asymptotics import (bulk_asymptotic, exp_profile, left_edge_asymptotic,
-                          phase_maximizer, profile_references,
-                          right_edge_asymptotic, surface_area_asymptotic)
+from .asymptotics import (bulk_asymptotic, exp_profile, face_index,
+                          left_edge_asymptotic, phase_maximizer,
+                          profile_references, right_edge_asymptotic,
+                          surface_area_asymptotic)
 from .curvature import (boundary_point, curvature_density, gauss_curvature,
                         gauss_map, principal_curvatures, sigma_curvatures,
                         support_function)
@@ -62,10 +63,7 @@ _SOLVER_ERR = 1e-12
 
 
 def _tool_version() -> str:
-    try:
-        return metadata.version("lpvol")
-    except metadata.PackageNotFoundError:
-        return "unknown"
+    return __version__
 
 
 @dataclass(frozen=True)
@@ -257,20 +255,15 @@ def cmd_asymptotic(args) -> int:
     cfg = _load_config(args.config)
     ns = _int_list(args.n, "--n")
     p = args.p
-    params = {"p": p, "regime": args.regime, "n": ns, **_regime_arg(args)}
+    kw = _regime_arg(args)
+    params = {"p": p, "regime": args.regime, "n": ns, **kw}
 
-    def face_index(n):
-        if args.regime == "bulk":
-            j = int(math.floor(args.alpha * n))
-            if not 1 <= j <= n - 1:
-                raise DomainError(f"alpha={args.alpha} gives j={j} "
-                                  f"outside 1..{n - 1} at n={n}")
-            return j
-        if args.regime == "left":
-            return args.j
-        if args.regime == "right":
-            return n - args.m
-        return None
+    def checked_index(n):
+        j = face_index(args.regime, n, **kw)
+        if args.regime == "bulk" and not 1 <= j <= n - 1:
+            raise DomainError(f"alpha={args.alpha} gives j={j} "
+                              f"outside 1..{n - 1} at n={n}")
+        return j
 
     def row(n):
         if args.regime == "surface":
@@ -279,7 +272,7 @@ def cmd_asymptotic(args) -> int:
             log_exact = res.value.log_abs + math.log(2.0)
             log_asym = surface_area_asymptotic(p, n).log_abs
         else:
-            j = face_index(n)
+            j = checked_index(n)
             res = intrinsic_volume(PBallSpec.unit(p, n), j, cfg)
             log_exact = res.value.log_abs
             if args.regime == "bulk":
@@ -292,8 +285,9 @@ def cmd_asymptotic(args) -> int:
         return (n, log_exact / ln10, log_asym / ln10,
                 math.exp(log_exact - log_asym), res.est_rel_error)
 
-    for n in ns:
-        face_index(n)          # validate all rows before spending time
+    if args.regime != "surface":
+        for n in ns:
+            checked_index(n)   # validate all rows before spending time
     rows = _pmap(row, ns)
     _emit(args, _manifest("asymptotic", params, cfg),
           ["n", "log10_exact", "log10_asymptotic", "exact_over_asymptotic",

@@ -447,12 +447,12 @@ def key_integral(spec: PBallSpec, alpha: float,
     mu = (n + float(al.sum()) - alpha * (p - 1.0)) / p
     gather, counts, _ = _coordinate_log_f(spec, al, [0.0], cfg)
     log_int, _, _ = log_theta_integral(
-        0.5 * alpha - 1.0,
-        lambda th: (gather(th)[0][0] * counts).sum(axis=1),
-        s_tail, cfg)
+        np.array([0.5 * alpha - 1.0]),
+        lambda th, idx: (gather(th)[0][0] * counts).sum(axis=1)[:, None],
+        np.array([s_tail]), cfg)
     log_pre = (math.log(p) - math.lgamma(mu) - math.lgamma(0.5 * alpha)
                - float(((al + 1.0) * np.log(spec.weights)).sum()))
-    return math.exp(log_pre + log_int)
+    return math.exp(log_pre + float(log_int[0]))
 
 
 def kubota_projection_factor(n: int, j: int) -> float:
@@ -472,13 +472,8 @@ def mean_projection_volume(spec: PBallSpec, j: int,
     j = int(j)
     if not 0 <= j <= n:
         raise DomainError(f"projection index {j} outside 0..{n}")
-    if j == n:
-        res = volume(spec)
-    elif spec.is_unit:
-        res = intrinsic_volume(spec, j, cfg).value
-    else:
-        res = intrinsic_volume_weighted(spec, j, cfg).value
-    return res.value * kubota_projection_factor(n, j)
+    res = intrinsic_volumes(spec, [j], cfg)[0]
+    return res.value.value * kubota_projection_factor(n, j)
 
 
 def steiner_polynomial(spec: PBallSpec, t: float,

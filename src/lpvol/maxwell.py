@@ -35,7 +35,7 @@ from .exactvol import (MomentRequest, PBallSpec, _moment_log,
 from .rng import standard_exponential, stream
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_gamma)
-from .asymptotics import PhasePoint, phase_maximizer
+from .asymptotics import PhasePoint, face_index, phase_maximizer
 
 __all__ = [
     "lambda0", "LimitLaw", "limit_density", "limit_moment",
@@ -231,12 +231,7 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
     rows = []
     for n in n_list:
         n = int(n)
-        if regime == "bulk":
-            jn = int(math.floor(alpha * n))
-        elif regime == "left":
-            jn = int(j)
-        else:
-            jn = n - int(m)
+        jn = face_index(regime, n, alpha=alpha, j=j, m=m)
         log_val, err = _moment_ratio_log(p, n, jn, lambdas, cfg, True)
         val = math.exp(log_val)
         rows.append(ConvergenceRow(n, val, limit,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .exactvol import PBallSpec
-from .roots import solve_increasing
+from .roots import solve_increasing, walk_bracket
 from .rng import stream
 from .specfun import QuadConfig, kappa, log_choose, log_kappa
 from .symfun import elementary_symmetric
@@ -244,7 +244,8 @@ def _project_outside(spec: PBallSpec, x: np.ndarray) -> np.ndarray:
     p = 2 is direct.  Outer, in s = log mu: from the radial estimate
     mu_0 = <x - r, g>/|g|^2, r = x / gauge, g = p a^p r^(p-1), which is
     (gauge - 1) / (p sum_i a_i^2 rho_i^(2p-2)), doubling or halving mu
-    brackets the root, and Newton starts from the step taken at mu_0.
+    brackets the root (walk_bracket), and Newton starts from the step
+    taken at mu_0.
     Overflow far from the root leaves the signs that steer the bracket.
     """
     p, a = spec.p, spec.weights
@@ -286,22 +287,9 @@ def _project_outside(spec: PBallSpec, x: np.ndarray) -> np.ndarray:
             warm[2] = dv = -r / np.where(den > 0.0, den, 1.0)
             return 1.0 - zp.sum(axis=1), -p * (zp * dv).sum(axis=1)
 
-        s = s0
-        g, dg = outer(s)
-        newton = s0 - g / dg
-        up = g < 0.0
-        prev = s
-        for _ in range(200):
-            walking = (g < 0.0) == up
-            if not walking.any():
-                break
-            prev = np.where(walking, s, prev)
-            s = s + walking * np.where(up, _LOG2, -_LOG2)
-            g = outer(s)[0]
-        else:
-            raise ConvergenceFailure("projection multiplier bracket ran away")
-        s = solve_increasing(outer, np.where(up, prev, s),
-                             np.where(up, s, prev), start=newton)
+        g, dg = outer(s0)
+        lo, hi = walk_bracket(lambda s: outer(s)[0], s0, _LOG2, g_start=g)
+        s = solve_increasing(outer, lo, hi, start=s0 - g / dg)
         y = inner(s) / a
     r = np.max(np.abs(np.sum((a * y) ** p, axis=1) - 1.0))
     if not r <= 1e-10:

@@ -1,16 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature.
 
-One refinement loop (_refine) drives two GK15 kernels: a linear-domain
+One refinement loop (_refine) drives two kernels on one GK15 body
+(_gk15: the 15-point Kronrod extension of 7-point Gauss, with the
+classical (200 |K - G| / resasc)^{3/2} error model): a linear-domain
 kernel for vector-valued integrands (many components evaluated on one
 shared grid, refined until every component meets its tolerance; quad_gk)
 and a log-domain kernel for positive integrands whose magnitude can reach
 exp(+-1e5) (quad_gk_log).  The log kernel always integrates a family:
 K log integrands (K = 1 included) share one mesh, which is refined until
 every member meets its own relative tolerance; a member that has met it
-is not evaluated again.  Each engine supplies its kernel and its convergence
-test.  The base rule is the 15-point Kronrod extension of
-7-point Gauss; the error model is the classical
-(200 |K - G| / resasc)^{3/2} rescaling.
+is not evaluated again.  Each engine supplies its kernel and its
+convergence test.
 
 Refinement is batched: every sweep splits all intervals whose local error
 exceeds its share of the budget, so the integrand callable is invoked on
@@ -18,9 +18,8 @@ large node blocks instead of one interval at a time.
 
 log_theta_integral, the outer integral of every intrinsic volume and
 moment, runs on the log kernel: one family of theta integrands (for
-example V_1..V_(n-1) of one body) on one mesh, with each member closing
-its own power-law tail.  A family of one refines exactly as a scalar
-call does.
+example V_1..V_(n-1) of one body, or a single integral as a family of
+one) on one mesh, with each member closing its own power-law tail.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
-from .logspace import LOG_ZERO, log_add, logsumexp_arr
+from .logspace import LOG_ZERO, logsumexp_arr
 
 _LOG2 = math.log(2.0)
 # upper theta limit of log_theta_integral's first piece, before octave
@@ -73,32 +72,37 @@ G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 
+def _gk15(fx):
+    """GK15 on [-1, 1] from node values fx (..., 15): the Kronrod value
+    and the error estimate, with the classical (200 |K - G| /
+    resasc)^{3/2} model (|K - G| itself where resasc is 0)."""
+    resk = fx @ WK
+    resasc = np.abs(fx - 0.5 * resk[..., None]) @ WK
+    err0 = np.abs(resk - fx[..., G_IDX] @ WG)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.minimum(1.0, (200.0 * err0 / resasc) ** 1.5)
+    return resk, np.where(resasc > 0.0, resasc * scaled, err0)
+
+
 def _eval_linear(f, a_arr, b_arr):
     """GK15 on a batch of intervals.  Returns (vals, errs) of shape (nc, ni)."""
     mid = 0.5 * (a_arr + b_arr)
     hl = 0.5 * (b_arr - a_arr)
     x = mid[:, None] + hl[:, None] * NODES[None, :]
     fx = np.asarray(f(x.reshape(-1)), dtype=float)
-    ni = len(a_arr)
-    fx = fx.reshape((-1, ni, 15))
+    fx = fx.reshape((-1, len(a_arr), 15))
     if np.isnan(fx).any():
         raise QuadratureFailure("integrand returned NaN")
-    resk = (fx @ WK) * hl
-    resg = (fx[:, :, G_IDX] @ WG) * hl
-    mean = resk / np.where(hl == 0.0, 1.0, 2.0 * hl)
-    resasc = (np.abs(fx - mean[:, :, None]) @ WK) * hl
-    err0 = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.minimum(1.0, (200.0 * err0 / resasc) ** 1.5)
-    errs = np.where(resasc > 0.0, resasc * scaled, err0)
-    return resk, errs
+    resk, err = _gk15(fx)
+    return resk * hl, err * hl
 
 
 def _eval_log(logf, a_arr, b_arr):
     """GK15 in log space on a batch of intervals (positive integrands).
 
     logf maps (nx,) nodes to (nx, K) values of K integrands; returns
-    (log values, log errors) of shape (K, ni).
+    (log values, log errors) of shape (K, ni).  Each (member, interval)
+    row of node values is scaled by its maximum before the rule.
     """
     mid = 0.5 * (a_arr + b_arr)
     hl = 0.5 * (b_arr - a_arr)
@@ -116,14 +120,7 @@ def _eval_log(logf, a_arr, b_arr):
     sc = np.zeros_like(lf)
     if finite.any():
         sc[finite] = np.exp(lf[finite] - m[finite, None])
-    resk = sc @ WK
-    resg = sc[:, G_IDX] @ WG
-    mean = resk / 2.0
-    resasc = np.abs(sc - mean[:, None]) @ WK
-    err0 = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.minimum(1.0, (200.0 * err0 / resasc) ** 1.5)
-    err_sc = np.where(resasc > 0.0, resasc * scaled, err0)
+    resk, err_sc = _gk15(sc)
     with np.errstate(divide="ignore"):
         logval = np.where(resk > 0.0, m + np.log(hl * np.maximum(resk, 1e-320)),
                           LOG_ZERO)
@@ -256,18 +253,16 @@ def quad_gk_log(logf, a, b, *, rel_tol, max_subdivisions, members,
 
 
 def log_theta_integral(power, log_smooth, s_tail, cfg):
-    """log of integral_0^inf theta^power * exp(log_smooth(theta)) d theta.
+    """log of integral_0^inf theta^power_k exp(log_smooth_k(theta)) d theta
+    for every member k of a family of K integrands on one theta mesh.
 
-    log_smooth must be vectorized over a theta array and smooth at 0; the
-    integrand must decay like C * theta^(-1-s_tail) at infinity (s_tail > 0,
-    known in closed form by every caller from the large-argument expansion
-    of its F-family factors).
-
-    A family of K integrands shares one theta mesh: power and s_tail are
-    then (K,) arrays and log_smooth(theta, idx) returns (T, len(idx))
-    values of the members idx, typically combinations of one F-table per
-    node.  With scalar power and s_tail, log_smooth(theta) returns (T,)
-    and the results are floats.
+    power and s_tail are (K,) arrays; log_smooth(theta, idx) maps a theta
+    array (T,) to (T, len(idx)) values of the members idx, typically
+    combinations of one F-table per node, and must be smooth at 0.
+    Member k must decay like C * theta^(-1-s_tail_k) at infinity
+    (s_tail_k > 0, known in closed form by every caller from the
+    large-argument expansion of its F-family factors).  A single
+    integral is a family of one.
 
     Strategy: substitute theta = x^2 so half-integer powers stay smooth at
     the origin, integrate [0, U] adaptively, then double U until the
@@ -276,76 +271,53 @@ def log_theta_integral(power, log_smooth, s_tail, cfg):
     U; the final octave doubles as a verification that the model holds.
     A member is no longer evaluated on a piece once it meets its
     tolerance there (quad_gk_log), nor on later octaves once its tail
-    closes.  A family of one refines exactly as a scalar call does.
+    closes.
 
-    Returns (log value, log error estimate, theta nodes used); for a family
-    the node count is that of the shared mesh.
+    Returns ((K,) log values, (K,) log error estimates, theta nodes of the
+    shared mesh).
     """
-    scalar = np.ndim(power) == 0 and np.ndim(s_tail) == 0
-
-    def family(th, idx):
-        if scalar:
-            return np.asarray(log_smooth(th), dtype=float)[:, None]
-        return log_smooth(th, idx)
-
-    power, s_tail = np.broadcast_arrays(np.atleast_1d(power).astype(float),
-                                        np.atleast_1d(s_tail).astype(float))
+    power = np.asarray(power, dtype=float)
+    s_tail = np.asarray(s_tail, dtype=float)
     if not np.all(s_tail > 0):
-        got = s_tail[0] if scalar else s_tail
-        raise DomainError(f"tail exponent must be positive, got {got}")
+        raise DomainError(f"tail exponent must be positive, got {s_tail}")
     rel = cfg.rel_tol
+    budget = cfg.max_subdivisions
 
     def logg(x, idx):
         with np.errstate(divide="ignore"):
             powpart = np.log(x)[:, None] * (2.0 * power[idx] + 1.0)
-        return _LOG2 + powpart + family(x * x, idx)
+        return _LOG2 + powpart + log_smooth(x * x, idx)
 
-    def logf_point(th, idx):
-        return power[idx] * math.log(th) + family(np.array([th]), idx)[0]
-
-    budget = cfg.max_subdivisions
     u_hi = _THETA_START
-    idx = np.arange(len(power))
     logval, logerr, ni = quad_gk_log(
         logg, 0.0, math.sqrt(u_hi), rel_tol=rel, max_subdivisions=budget,
-        members=len(idx))
-    logval, logerr = logval.tolist(), logerr.tolist()
+        members=len(power))
     nodes = 15 * ni
     log_target = math.log(rel / 2.0)
-    log_s = [math.log(s) for s in s_tail]
+    log_s = np.log(s_tail)
+    idx = np.arange(len(power))
     for _ in range(240):
-        f_half = logf_point(u_hi / 2.0, idx)
-        f_edge = logf_point(u_hi, idx)
-        tail = {}
-        seg_floor = np.empty(len(idx))
-        for i, k in enumerate(idx):
-            log_tail = float(f_edge[i]) + math.log(u_hi) - log_s[k]
-            if f_edge[i] < f_half[i] and logval[k] > LOG_ZERO and (
-                    log_tail <= log_target + logval[k]):
-                tail[i] = log_tail
-            seg_floor[i] = (logval[k] + math.log(rel / 4.0)) \
-                if logval[k] > LOG_ZERO else LOG_ZERO
+        th = np.array([u_hi / 2.0, u_hi])
+        f_half, f_edge = power[idx] * np.log(th)[:, None] + log_smooth(th, idx)
+        log_tail = f_edge + math.log(u_hi) - log_s[idx]
+        closing = ((f_edge < f_half) & (logval[idx] > LOG_ZERO)
+                   & (log_tail <= log_target + logval[idx]))
         seg_val, seg_err, ni = quad_gk_log(
             lambda x, sub: logg(x, idx[sub]), math.sqrt(u_hi),
             math.sqrt(2.0 * u_hi), rel_tol=rel, max_subdivisions=budget,
-            log_floor=seg_floor, members=len(idx))
+            log_floor=logval[idx] + math.log(rel / 4.0), members=len(idx))
         nodes += 15 * ni
         u_hi *= 2.0
-        still_open = []
-        for i, k in enumerate(idx):
-            logval[k] = log_add(logval[k], float(seg_val[i]))
-            logerr[k] = log_add(logerr[k], float(seg_err[i]))
-            if i in tail and seg_val[i] <= tail[i] + math.log(50.0):
-                # verification octave consistent with the tail model; what
-                # is left beyond u_hi is bounded by the model and goes into
-                # the error estimate
-                logerr[k] = log_add(logerr[k], tail[i])
-            else:
-                still_open.append(k)
-        if not still_open:
-            if scalar:
-                return logval[0], logerr[0], nodes
-            return np.array(logval), np.array(logerr), nodes
-        idx = np.array(still_open)
+        logval[idx] = np.logaddexp(logval[idx], seg_val)
+        logerr[idx] = np.logaddexp(logerr[idx], seg_err)
+        # verification octave consistent with the tail model; what is
+        # left beyond u_hi is bounded by the model and goes into the
+        # error estimate
+        closing &= seg_val <= log_tail + math.log(50.0)
+        shut = idx[closing]
+        logerr[shut] = np.logaddexp(logerr[shut], log_tail[closing])
+        idx = idx[~closing]
+        if not idx.size:
+            return logval, logerr, nodes
     raise QuadratureFailure(
         "theta integral failed to localize its mass within 240 octaves")

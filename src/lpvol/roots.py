@@ -1,5 +1,7 @@
 """The bracketed root solver behind every monotone equation lpvol
-iterates on: projection, secular equation, profile maxima, log-u windows."""
+iterates on: projection, secular equation, phase maximizer, profile
+maxima, log-u windows.  walk_bracket finds the bracket by stepping,
+solve_increasing closes it; no other module keeps a solve loop."""
 
 from __future__ import annotations
 
@@ -7,10 +9,38 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 
-__all__ = ["solve_increasing"]
+__all__ = ["solve_increasing", "walk_bracket"]
 
 _STEP_TOL = 4.0 * np.finfo(float).eps
 _MAX_STEPS = 200  # pure bisection reaches _STEP_TOL in about 55
+
+
+def walk_bracket(g, start, step, g_start=None):
+    """Bracket the sign change of an increasing g, per component.
+
+    g(x) returns g for an array x shaped like start; g_start, if given,
+    is g(start).  Each component steps up by step while g < 0, or down
+    while g > 0, and stops where g changes sign (a component with g = 0
+    at start does not move).  Every call of g sees all components, the
+    stopped ones at their last point.  Returns (lo, hi): the last two
+    points of each component, in order (lo = hi where g(start) = 0).
+    Raises ConvergenceFailure if a component is still walking after
+    _MAX_STEPS steps.
+    """
+    x = np.asarray(start, dtype=float)
+    gx = g(x) if g_start is None else g_start
+    up = gx < 0.0
+    down = gx > 0.0
+    prev = x
+    for _ in range(_MAX_STEPS):
+        walking = np.where(up, gx < 0.0, gx > 0.0)
+        if not walking.any():
+            return np.where(up, prev, x), np.where(down, prev, x)
+        prev = np.where(walking, x, prev)
+        x = x + walking * np.where(up, step, -step)
+        gx = g(x)
+    raise ConvergenceFailure(
+        f"bracket walk still moving after {_MAX_STEPS} steps")
 
 
 def solve_increasing(f, lo, hi, start=None):

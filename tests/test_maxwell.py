@@ -194,8 +194,14 @@ class TestRegimeContinuity:
             law = LimitLaw.bulk(p, a)
             resc = a ** (1.0 / p) * limit_density(law, a ** (1.0 / p) * u)
             devs[a] = float(np.max(np.abs(resc / ref - 1.0)))
-        assert devs[1e-3] <= 0.02
-        assert devs[1e-3] < devs[1e-2]
+        if p == 2.0:
+            # I = J and theta* = (1 - alpha)/alpha: the rescaled bulk
+            # density is the left-edge law at every alpha, so both
+            # deviations are rounding and have no order
+            assert max(devs.values()) <= 1e-14
+        else:
+            assert devs[1e-3] <= 0.02
+            assert devs[1e-3] < devs[1e-2]
 
 
 class TestFiniteNMomentRatio:

@@ -148,15 +148,6 @@ def log_beta_family(th, idx):
 
 
 class TestVectorLogKernel:
-    def test_single_member_theta_integral_matches_scalar_call(self, cfg):
-        power, log_smooth, s_tail = unit_family(3.0, 60, [30], cfg)
-        vec = log_theta_integral(power, log_smooth, s_tail, cfg)
-        scalar = log_theta_integral(
-            float(power[0]), lambda th: log_smooth(th, [0])[:, 0],
-            float(s_tail[0]), cfg)
-        assert isinstance(scalar[0], float) and isinstance(scalar[1], float)
-        assert (vec[0][0], vec[1][0], vec[2]) == scalar
-
     def test_members_meet_their_own_tolerance(self):
         # members far apart in size: one absolute target for all would
         # leave the small ones unresolved
@@ -184,13 +175,14 @@ class TestVectorLogKernel:
         total = 0
         for k, (a, c) in enumerate(zip(BETA_A, BETA_C)):
             one_val, one_err, one_nodes = log_theta_integral(
-                a, lambda th: -c * np.log1p(th), c - a - 1.0, cfg)
+                BETA_A[k:k + 1], lambda th, idx: log_beta_family(th, [k]),
+                BETA_C[k:k + 1] - a - 1.0, cfg)
             total += one_nodes
             err = math.exp(logerr[k] - logval[k])
             assert err <= cfg.rel_tol
             assert abs(logval[k] - LOG_BETA[k]) <= err
-            assert abs(logval[k] - one_val) <= err + math.exp(
-                one_err - one_val)
+            assert abs(logval[k] - one_val[0]) <= err + math.exp(
+                one_err[0] - one_val[0])
         assert nodes < total
 
     def test_tails_close_in_different_octaves(self, cfg):

@@ -1,4 +1,5 @@
-"""Tests for the bracketed safeguarded-Newton solver."""
+"""Tests for the bracket walk and the bracketed safeguarded-Newton
+solver."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from lpvol import roots
 from lpvol.errors import ConvergenceFailure
-from lpvol.roots import solve_increasing
+from lpvol.roots import solve_increasing, walk_bracket
 
 
 def _cubic(a):
@@ -124,3 +125,61 @@ class TestSolveIncreasing:
         with pytest.raises(ConvergenceFailure):
             solve_increasing(_exp_shift(np.array([10.0])), np.array([-5.0]),
                              np.array([400.0]))
+
+
+class TestWalkBracket:
+    def test_walks_up_and_down_to_the_sign_change(self):
+        # g(x) = x - r: from 0 in steps of 1.5, each component stops at
+        # the first point past r and reports the point before it
+        r = np.array([4.0, -4.0, 0.7, -0.7])
+        seen = []
+
+        def g(x):
+            seen.append(x.copy())
+            return x - r
+
+        lo, hi = walk_bracket(g, np.zeros(4), 1.5)
+        np.testing.assert_array_equal(lo, [3.0, -4.5, 0.0, -1.5])
+        np.testing.assert_array_equal(hi, [4.5, -3.0, 1.5, 0.0])
+        assert np.all((lo <= r) & (r <= hi))
+        # every call sees all components, stopped ones where they stopped
+        assert len(seen) == 4 and all(x.shape == (4,) for x in seen)
+        np.testing.assert_array_equal(seen[-1], [4.5, -4.5, 1.5, -1.5])
+
+    def test_given_start_value_is_not_recomputed(self):
+        calls = []
+
+        def g(x):
+            calls.append(1)
+            return x - 2.0
+
+        lo, hi = walk_bracket(g, np.array([0.0]), 1.0,
+                              g_start=np.array([-2.0]))
+        assert (lo[0], hi[0]) == (1.0, 2.0)
+        assert len(calls) == 2
+
+    def test_zero_at_the_start_does_not_move(self):
+        # the first component starts on the root; the second walks down
+        # onto it, which also ends its walk
+        lo, hi = walk_bracket(lambda x: x - 1.0, np.array([1.0, 3.0]), 0.5)
+        np.testing.assert_array_equal(lo, [1.0, 1.0])
+        np.testing.assert_array_equal(hi, [1.0, 1.5])
+        y = solve_increasing(lambda x: (x - 1.0, np.ones_like(x)), lo, hi)
+        np.testing.assert_array_equal(y, [1.0, 1.0])
+
+    def test_walk_then_solve(self):
+        # the pattern of the phase and projection solves: bracket an
+        # increasing function from a start far off, then close it
+        t = np.array([0.5, 3.0, 1e40])
+        f = _exp_shift(t)
+        lo, hi = walk_bracket(lambda y: f(y)[0], np.full(3, 5.0),
+                              math.log(4.0))
+        assert np.all((lo < np.log1p(t)) & (np.log1p(t) < hi))
+        y = solve_increasing(f, lo, hi)
+        np.testing.assert_allclose(y, np.log1p(t), rtol=4e-16)
+
+    def test_run_away_raises(self, monkeypatch):
+        monkeypatch.setattr(roots, "_MAX_STEPS", 5)
+        # 1 + e^x never changes sign: the walk down runs away
+        with pytest.raises(ConvergenceFailure, match="bracket walk"):
+            walk_bracket(lambda x: 1.0 + np.exp(x), np.zeros(2), 1.0)
