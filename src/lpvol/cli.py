@@ -15,7 +15,7 @@ the manifest on a leading "# manifest=" comment line.  Every numeric
 row carries an estimated-error column.
 
 Config files are key=value lines (# comments allowed) overriding the
-quadrature defaults: rel_tol, abs_tol, max_subdivisions.
+quadrature defaults: rel_tol, max_subdivisions.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 invalid arguments,
 3 quadrature or solver failure.

@@ -98,24 +98,22 @@ _LOG2 = math.log(2.0)
 class QuadConfig:
     """Accuracy knobs shared by all quadrature-backed ops.
 
-    rel_tol / abs_tol: per-component targets for adaptive integration.
+    rel_tol: per-component relative target for adaptive integration.
     max_subdivisions: interval budget per adaptive call.
+    The core table's absolute floor is the fixed _ABS_TOL.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_subdivisions: int = 512
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not (0.0 < self.abs_tol < 1.0):
-            raise DomainError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
         if not self.max_subdivisions >= 8:
             raise DomainError("max_subdivisions must be at least 8")
 
     def cache_key(self):
-        return (self.rel_tol, self.abs_tol, self.max_subdivisions)
+        return (self.rel_tol, self.max_subdivisions)
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -176,6 +174,14 @@ def kappa(m) -> float:
 # ---------------------------------------------------------------------------
 # truncation bounds
 
+# absolute floor of every core-table GK piece; a tenth of it is the
+# u-tail target.  A fixed floor is safe: every row coefficient c is at
+# most 1, so on [0, 1] the integrand is at least u^nu e^-2 and each core
+# integral is at least e^-2/(nu+1).  The floor is then at most
+# 1e-14 e^2 (nu+1) of the value, below 1e-10 for nu up to 1000.
+_ABS_TOL = 1e-14
+
+
 def _tail_cutoff(c, e, nu, log_target):
     """log of a u with integral_u^inf x^nu exp(-c x^e) dx <= exp(log_target).
 
@@ -213,13 +219,13 @@ def _tail_cutoff(c, e, nu, log_target):
     raise QuadratureFailure("tail cutoff search did not terminate")
 
 
-def _log_upper_limit(cs, e_c, e_1, nus, cfg):
+def _log_upper_limit(cs, e_c, e_1, nus):
     """log of the upper limit shared by every row and column of a core
     table, at least log 1: per (row, nu) the tail of exp(-c u^e_c -
     u^e_1) is bounded by the smaller of the two factors' cutoffs, and the
     worst row sets the limit.
     """
-    log_target = math.log(cfg.abs_tol) - math.log(10.0)
+    log_target = math.log(_ABS_TOL) - math.log(10.0)
     c_min = cs.min()
     log_hi = 0.0
     for nu in nus:
@@ -309,21 +315,21 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     (k, m) log values and (k, m) bounds on their absolute error, from the
     GK error estimates of the pieces.  All rows and columns share one
     adaptive grid per piece.  When the upper limit exceeds the split
-    point by more than exp(_LOG_WIDE_SPAN), the piece above the split is
-    integrated in log u by _log_u_piece.
+    point by more than exp(_LOG_WIDE_SPAN), or u^nu would overflow there,
+    the piece above the split is integrated in log u by _log_u_piece.
     """
     cs = np.asarray(cs, dtype=float)
     log_cs = np.asarray(log_cs, dtype=float)
     nus = np.asarray(nus, dtype=float)
     k, m = len(cs), len(nus)
-    log_hi = _log_upper_limit(cs, e_c, e_1, nus, cfg)
+    log_hi = _log_upper_limit(cs, e_c, e_1, nus)
 
     def kernel(u):
         expo = -(np.outer(cs, u ** e_c) + u ** e_1)
         return np.exp(expo, out=expo)
 
     def gk(f, lo, hi):
-        return quad_gk(f, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+        return quad_gk(f, lo, hi, rel_tol=cfg.rel_tol, abs_tol=_ABS_TOL,
                        max_subdivisions=cfg.max_subdivisions)[:2]
 
     vals = np.zeros((k, m))
@@ -345,7 +351,9 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
 
     log_wide = None
     y_split = math.log(_SPLIT)
-    if log_hi - y_split <= _LOG_WIDE_SPAN:
+    # the linear-u piece forms u^nu as a double: once nu log u_hi nears
+    # the overflow point it goes to the log-u piece as well
+    if log_hi - y_split <= _LOG_WIDE_SPAN and nus.max() * log_hi < 700.0:
         add_direct(np.arange(m), _SPLIT, math.exp(min(log_hi, 700.0)))
     else:
         log_wide, rel_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split,

@@ -12,7 +12,7 @@ def cfg() -> QuadConfig:
 @pytest.fixture(scope="session")
 def loose_cfg() -> QuadConfig:
     # for bulk sweeps where 1e-10 is overkill
-    return QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
+    return QuadConfig(rel_tol=1e-8)
 
 
 @pytest.fixture()

@@ -139,9 +139,7 @@ class TestOutputContract:
         man = doc["manifest"]
         assert man["command"] == "intrinsic"
         assert man["parameters"]["p"] == 2.5
-        assert set(man["config"]) == {
-            "rel_tol", "abs_tol", "max_subdivisions",
-        }
+        assert set(man["config"]) == {"rel_tol", "max_subdivisions"}
         assert "seed" in man and "version" in man
 
     def test_csv_projection_round_trips(self, capsys):
@@ -215,7 +213,7 @@ class TestOutputContract:
         assert f"{path}:2" in err and "speed" in err
 
     @pytest.mark.parametrize("key", ["theta_truncation_factor",
-                                     "singularity_split"])
+                                     "singularity_split", "abs_tol"])
     def test_former_config_key_is_unknown(self, capsys, tmp_path, key):
         path = tmp_path / "quad.cfg"
         path.write_text(f"{key}=0.5\n")
@@ -390,6 +388,36 @@ class TestMaxwellCommand:
         (n0, *_, gap0, _), (n1, *_, gap1, _) = json.loads(out)["rows"]
         assert (n0, n1) == (512, 1000)
         assert 0.0 < gap1 < gap0
+
+    @pytest.mark.parametrize("argv", [
+        ["-p", "3", "--regime", "right", "--m", "3", "--lambda", "1000"],
+        ["-p", "3", "--regime", "left", "--j", "2", "--lambda", "1000"],
+        ["-p", "2", "--regime", "left", "--j", "2", "--lambda", "700"],
+        ["-p", "3", "--regime", "right", "--m", "3", "--lambda", "500"],
+    ])
+    def test_moment_beyond_double_range_is_a_domain_error(self, capsys,
+                                                          argv):
+        rc, out, err = run(capsys, ["maxwell", *argv, "--n", "64"])
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "double range" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["-p", "3", "--regime", "right", "--m", "3", "--lambda", "400",
+         "--n", "64,256"],
+        # the F-table at nu = 200 and p = 1.5 overflowed u^nu
+        ["-p", "1.5", "--regime", "bulk", "--alpha", "0.5", "--lambda",
+         "200", "--n", "64"],
+    ])
+    def test_high_moment_in_range_prints_finite_rows(self, capsys, argv):
+        rc, out, _ = run(capsys, ["maxwell", *argv, "--format", "json"])
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(argv[-1].split(","))
+        # non-finite numbers would print as null
+        assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for row in rows for v in row)
 
 
 _SCIPY_AFTER_RUNS = """

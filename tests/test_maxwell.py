@@ -132,7 +132,7 @@ class TestDensities:
     def test_zeroth_moment_uses_the_law_config(self, p, alpha):
         # the moment's F-table and the law's normalisers must come from
         # the same config, or their ratio is off 1 by the quadrature error
-        cfg = QuadConfig(rel_tol=1e-6, abs_tol=1e-12)
+        cfg = QuadConfig(rel_tol=1e-6)
         law = LimitLaw.bulk(p, alpha, cfg)
         assert abs(limit_moment(law, 0.0, cfg) - 1.0) <= 1e-15
 
@@ -294,6 +294,41 @@ class TestConvergenceTables:
             convergence_table(2.0, "right", [2.0], [10], cfg=loose_cfg)
         with pytest.raises(DomainError):
             convergence_table(2.0, "edge", [2.0], [10], m=1, cfg=loose_cfg)
+
+
+class TestDoubleRange:
+    """Moments of high order overflow a double: each is checked in log
+    form first and raises a DomainError naming lambda (and n)."""
+
+    @pytest.mark.parametrize("law, lam", [
+        (LimitLaw.right_edge(3.0), 1000.0),
+        (LimitLaw.left_edge(3.0), 1000.0),
+        (LimitLaw.left_edge(2.0), 700.0),
+    ])
+    def test_limit_moment_raises(self, law, lam):
+        with pytest.raises(DomainError, match=f"E\\|xi\\|\\^{lam:g}"):
+            limit_moment(law, lam)
+
+    def test_finite_n_ratio_raises(self):
+        # the unscaled value e^-82.6 is in range, the scaled e^1304 is not
+        assert finite_n_moment_ratio(3.0, 64, 61, (1000.0,)) > 0.0
+        with pytest.raises(DomainError, match="lambda=.*1000.* n=64"):
+            finite_n_moment_ratio(3.0, 64, 61, (1000.0,), scaled=True)
+
+    @pytest.mark.parametrize("regime, kw, lam", [
+        ("right", {"m": 3}, 1000.0), ("left", {"j": 2}, 1000.0),
+        ("right", {"m": 3}, 500.0),
+    ])
+    def test_convergence_table_raises(self, regime, kw, lam):
+        # at lambda = 500 the moment e^684.7 is in range, the limit with
+        # its scale^lambda e^183.1 is not
+        with pytest.raises(DomainError, match=f"{lam:g}"):
+            convergence_table(3.0, regime, [lam], [64], **kw)
+
+    def test_rows_in_range_are_finite(self):
+        rows = convergence_table(3.0, "right", [400.0], [64, 256], m=3)
+        for row in rows:
+            assert all(math.isfinite(v) for v in row)
 
 
 class TestCubeSkeletonSampler:

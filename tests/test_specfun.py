@@ -216,6 +216,30 @@ class TestNuNearMinusOne:
                     assert log_f(p, t, nu) == pytest.approx(ref, abs=1e-12)
 
 
+class TestLargeNu:
+    """Large nu: u^nu overflows a double on the linear-u piece once
+    nu log u_hi passes about 709, so that piece goes to log u too."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+    @pytest.mark.parametrize("nu", [200.0, 700.0, 1000.0])
+    def test_both_closed_forms(self, p, nu):
+        # an overflow warning fails the test (pytest filterwarnings)
+        t_big = 1e20
+        vals, bound = f_family_log_interp(p, [0.0, 1e-8, 1.0, 1e10, t_big],
+                                          [nu])
+        assert np.isfinite(vals).all() and np.isfinite(bound).all()
+        assert abs(vals[0, 0] - f_family_at_zero_log(p, nu)) <= bound[0]
+        # the large-t asymptote in log form (its Gamma(s) overflows here),
+        # with the first correction; the next is below 1e-25
+        s = (nu + 1.0) / (2.0 * p - 2.0)
+        step = p / (2.0 * p - 2.0)
+        corr = math.exp(math.lgamma(s + step) - math.lgamma(s)
+                        - step * math.log(t_big))
+        asym = (math.lgamma(s) - math.log(p - 1.0) - s * math.log(t_big)
+                + math.log1p(-corr))
+        assert abs(vals[-1, 0] - asym) <= bound[0]
+
+
 class TestInterpolant:
     """f_family_log_interp, the piecewise Chebyshev interpolant in
     y = log1p(t) that the theta integrals read: its reported bound must
@@ -307,9 +331,9 @@ class TestInterpolant:
             assert abs(vals[0, c] - lead) <= bound[c]
 
 
-def _double_loop_log_upper_limit(cs, e_c, e_1, nus, cfg):
+def _double_loop_log_upper_limit(cs, e_c, e_1, nus):
     """The shared upper limit as one cutoff search per (row, nu)."""
-    log_target = math.log(cfg.abs_tol) - math.log(10.0)
+    log_target = math.log(specfun._ABS_TOL) - math.log(10.0)
     log_hi = 0.0
     for nu in nus:
         cut_1 = _tail_cutoff(1.0, e_1, nu, log_target)
@@ -327,7 +351,7 @@ class TestTailCutoff:
 
     @pytest.mark.parametrize("p", [1.001, 1.005, 1.5, 3.0, 64.0])
     def test_nonincreasing_in_coefficient(self, p):
-        log_target = math.log(DEFAULT_CONFIG.abs_tol) - math.log(10.0)
+        log_target = math.log(specfun._ABS_TOL) - math.log(10.0)
         cs = np.concatenate([[0.0], np.logspace(-300, 3, 607)])
         for nu in (-0.999, -0.5, 0.0, p - 2.0, 2.0 * p - 2.0, 40.0):
             # both exponents a row coefficient multiplies: u^(2p-2) for
@@ -346,7 +370,7 @@ class TestTailCutoff:
         # at the returned u the exact tail c^(-s)/e * Gamma(s, c u^e),
         # s = (nu+1)/e, is below the target, on every 8th coefficient of
         # the monotonicity grid
-        log_target = math.log(DEFAULT_CONFIG.abs_tol) - math.log(10.0)
+        log_target = math.log(specfun._ABS_TOL) - math.log(10.0)
         cs = np.concatenate([[0.0], np.logspace(-300, 3, 607)])[::8]
         grid = [(nu, e) for p in (1.001, 1.005, 1.5, 3.0, 64.0)
                 for nu in (-0.999, -0.5, 0.0, p - 2.0, 2.0 * p - 2.0, 40.0)
@@ -383,9 +407,8 @@ class TestTailCutoff:
             if big.size:
                 tables.append((np.exp((-p / e2) * np.log(big)), p, e2))
             for cs, e_c, e_1 in tables:
-                assert (_log_upper_limit(cs, e_c, e_1, nus, DEFAULT_CONFIG)
-                        == _double_loop_log_upper_limit(
-                            cs, e_c, e_1, nus, DEFAULT_CONFIG))
+                assert (_log_upper_limit(cs, e_c, e_1, nus)
+                        == _double_loop_log_upper_limit(cs, e_c, e_1, nus))
 
 
 class TestGammaHelpers:
