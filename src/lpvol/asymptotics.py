@@ -48,7 +48,8 @@ class PhasePoint:
 
     residual is |theta* J/I / rhs - 1| of the critical equation; the
     constructor enforces the 1e-10 contract and the strict concavity
-    psi2_at_star < 0.
+    psi2_at_star < 0.  log_i, log_j, log_k are the F-table row at theta*
+    (nu = 0, p-2, 2p-2) the solve ended on, which the bulk laws read.
     """
 
     p: float
@@ -57,6 +58,9 @@ class PhasePoint:
     psi_at_star: float
     psi2_at_star: float
     residual: float
+    log_i: float
+    log_j: float
+    log_k: float
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -110,12 +114,6 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _log_ijk(p: float, theta: float, cfg: QuadConfig):
-    nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
-    row = f_family_log_table(p, [theta], nus, cfg)[0]
-    return float(row[0]), float(row[1]), float(row[2])
-
-
 def phase(p, beta, theta, cfg: QuadConfig = None) -> float:
     """Psi_(p,beta)(theta) for theta > 0."""
     p = as_exponent(p)
@@ -123,25 +121,28 @@ def phase(p, beta, theta, cfg: QuadConfig = None) -> float:
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0.0):
         raise DomainError(f"theta must be positive, got {theta!r}")
-    logi, logj, _ = _log_ijk(p, theta, _cfg(cfg))
-    return (0.5 * (1.0 - beta) * math.log(theta)
-            + beta * logi + (1.0 - beta) * logj)
+    # the phase solve's columns, so that both read one interpolant
+    logi, logj, _ = f_family_log_table(
+        p, [theta], [0.0, p - 2.0, 2.0 * p - 2.0], _cfg(cfg))[0]
+    return float(0.5 * (1.0 - beta) * math.log(theta)
+                 + beta * logi + (1.0 - beta) * logj)
 
 
 def _log_g_and_slope(p: float, s: np.ndarray, cfg: QuadConfig):
     """log g and theta g'/g at theta = e^s for an array s, where g =
-    theta J/I, with log I, log J and log K there.
+    theta J/I, with theta and log I, log J and log K there.
 
     g' = [I (J/2 + pK/(2(p-1))) + theta J K] / I^2 from the JKL identity,
     so theta g'/g = 1/2 + pK/(2(p-1)J) + theta K/I; every term is a
     bounded F-ratio, which keeps the Newton step conditioned for any
     theta.
     """
+    theta = np.exp(s)
     nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
-    logi, logj, logk = f_family_log_table(p, np.exp(s), nus, cfg).T
+    logi, logj, logk = f_family_log_table(p, theta, nus, cfg).T
     slope = (0.5 + 0.5 * p / (p - 1.0) * np.exp(logk - logj)
              + np.exp(s + logk - logi))
-    return s + logj - logi, slope, logi, logj, logk
+    return s + logj - logi, slope, theta, logi, logj, logk
 
 
 def phase_maximizer(p, beta, cfg: QuadConfig = None) -> PhasePoint:
@@ -170,13 +171,13 @@ def _solve_phase(p: float, beta: float, cfg: QuadConfig) -> PhasePoint:
     lo, hi = walk_bracket(lambda s: w_and_slope(s)[0], np.zeros(1),
                           2.0 * _LOG2)
     s = float(solve_increasing(w_and_slope, lo, hi)[0])
-    log_g, slope, logi, logj, logk = (
+    # theta* is the e^s its F row was read at
+    log_g, slope, theta, logi, logj, logk = (
         float(v[0]) for v in _log_g_and_slope(p, np.array([s]), cfg))
-    theta = math.exp(s)
     psi = (0.5 * (1.0 - beta) * s + beta * logi + (1.0 - beta) * logj)
     psi2 = -beta * math.exp(logk - logi) * slope / theta
     return PhasePoint(p, beta, theta, psi, psi2,
-                      abs(math.expm1(log_g - log_rhs)))
+                      abs(math.expm1(log_g - log_rhs)), logi, logj, logk)
 
 
 def phase_second_derivative(p, beta, theta, cfg: QuadConfig = None) -> float:
@@ -223,14 +224,12 @@ def bulk_asymptotic(p, n, j, cfg: QuadConfig = None) -> LogValue:
     if not (isinstance(j, (int, np.integer)) and 0 < j < n):
         raise DomainError(f"bulk regime needs 0 < j < n, got j={j!r}")
     j = int(j)
-    cfg = _cfg(cfg)
     pp = phase_maximizer(p, j / n, cfg)
-    logi, logj_, logk = _log_ijk(p, pp.theta_star, cfg)
     log_pref = (math.log(p) + (n - j - 1) * math.log(p - 1.0)
                 + math.log(n) + log_choose(n - 1, j) - _LOG2
                 - 0.5 * (n - j) * math.log(math.pi)
                 - math.lgamma((j + p) / p))
-    log_ratio = logk - logj_ - math.log(pp.theta_star)
+    log_ratio = pp.log_k - pp.log_j - math.log(pp.theta_star)
     log_width = 0.5 * (math.log(2.0 * math.pi) - math.log(n)
                        - math.log(-pp.psi2_at_star))
     return LogValue.from_log(log_pref + log_ratio + n * pp.psi_at_star
@@ -385,7 +384,7 @@ def surface_area_asymptotic(p, n, normalized: bool = False):
 
     normalized=False: LogValue of the raw boundary measure asymptote
     (p(p-1)Gamma(1-1/p)/Gamma(1/p))^(1/2) ((2/p)Gamma(1/p))^n sqrt(n)
-    / Gamma((n+p-1)/p), which is twice the right-edge law at m = 1.
+    / Gamma((n+p-1)/p), computed as twice the right-edge law at m = 1.
     normalized=True: surface area of the ball rescaled to unit volume,
     2 e^(1/p) sqrt(pi (p-1) / (p sin(pi/p))) sqrt(n), returned as a
     plain float.
@@ -397,8 +396,4 @@ def surface_area_asymptotic(p, n, normalized: bool = False):
                 * math.sqrt(math.pi * (p - 1.0)
                             / (p * math.sin(math.pi / p)))
                 * math.sqrt(n))
-    log_val = (0.5 * (math.log(p) + math.log(p - 1.0)
-                      + math.lgamma(1.0 - 1.0 / p) - math.lgamma(1.0 / p))
-               + n * (_LOG2 + math.lgamma(1.0 / p) - math.log(p))
-               + 0.5 * math.log(n) - math.lgamma((n + p - 1.0) / p))
-    return LogValue.from_log(log_val)
+    return LogValue.from_log(_LOG2 + right_edge_asymptotic(p, n, 1).log_abs)

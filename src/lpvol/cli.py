@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -62,10 +63,6 @@ SCHEMA_VERSION = 1
 _SOLVER_ERR = 1e-12
 
 
-def _tool_version() -> str:
-    return __version__
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance embedded in every output: enough to re-run it."""
@@ -76,16 +73,10 @@ class RunManifest:
     seed: object
     version: str
 
-    def to_dict(self) -> dict:
-        return {"command": self.command, "parameters": self.parameters,
-                "config": self.config, "seed": self.seed,
-                "version": self.version}
-
 
 def _manifest(command: str, parameters: dict, cfg: QuadConfig,
               seed=None) -> RunManifest:
-    return RunManifest(command, parameters, asdict(cfg), seed,
-                       _tool_version())
+    return RunManifest(command, parameters, asdict(cfg), seed, __version__)
 
 
 # -- argument helpers ------------------------------------------------------
@@ -182,7 +173,7 @@ def _csv_cell(v):
 
 
 def _emit(args, manifest: RunManifest, columns, rows) -> None:
-    mdict = manifest.to_dict()
+    mdict = asdict(manifest)
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "manifest": mdict,
                "columns": list(columns),
@@ -340,19 +331,14 @@ def cmd_curvature(args) -> int:
         rows.append((f"boundary_point_{i + 1}", float(v), 0.0))
     for i, v in enumerate(normal):
         rows.append((f"unit_normal_{i + 1}", float(v), _SOLVER_ERR))
-    for i, v in enumerate(lam):
-        rows.append((f"principal_curvature_{i + 1}", float(v),
-                     _SOLVER_ERR * max(1.0, abs(float(v)))))
-    sig = sigma_curvatures(pt, m)
-    rows.append((f"sigma_{m - 1}_of_curvatures", sig,
-                 _SOLVER_ERR * max(1.0, abs(sig))))
-    k = gauss_curvature(pt)
-    rows.append(("gauss_curvature", k, _SOLVER_ERR * max(1.0, k)))
-    dens = curvature_density(pt, m)
-    rows.append((f"curvature_density_m{m}", dens,
-                 _SOLVER_ERR * max(1.0, dens)))
-    h = support_function(spec, normal)
-    rows.append(("support_at_normal", h, _SOLVER_ERR * max(1.0, h)))
+    named = [(f"principal_curvature_{i + 1}", float(v))
+             for i, v in enumerate(lam)]
+    named += [(f"sigma_{m - 1}_of_curvatures", sigma_curvatures(pt, m)),
+              ("gauss_curvature", gauss_curvature(pt)),
+              (f"curvature_density_m{m}", curvature_density(pt, m)),
+              ("support_at_normal", support_function(spec, normal))]
+    for name, v in named:
+        rows.append((name, v, _SOLVER_ERR * max(1.0, abs(v))))
     manifest = _manifest("curvature",
                          {"p": args.p, "weights": weights, "point": point,
                           "m": m}, cfg)
@@ -375,37 +361,31 @@ def cmd_maxwell(args) -> int:
 
 # -- validation suites -----------------------------------------------------
 
-def _suite_steiner_n2(cfg, seed):
-    mc = McConfig(sample_count=200_000, seed=seed)
-    out = []
-    est, se = steiner_mc_volume(PBallSpec.unit(2.0, 2), 1.0, mc)
-    ref = 4.0 * math.pi
-    out.append(("disk parallel volume t=1 vs 4pi",
-                abs(est - ref) <= 3.0 * se,
-                f"est={est:.6f} ref={ref:.6f} se={se:.2e}"))
-    spec = PBallSpec.unit(3.0, 2)
-    ref = steiner_polynomial(spec, 0.5, cfg)
-    est, se = steiner_mc_volume(spec, 0.5, mc)
-    out.append(("p=3 disk parallel volume t=0.5 vs polynomial",
-                abs(est - ref) <= 3.0 * se,
-                f"est={est:.6f} ref={ref:.6f} se={se:.2e}"))
-    return out
+# (label, body, offset t, closed-form volume of the parallel body or None
+# for the Steiner polynomial)
+_STEINER_N2 = (
+    ("disk parallel volume t=1 vs 4pi", PBallSpec.unit(2.0, 2), 1.0,
+     4.0 * math.pi),
+    ("p=3 disk parallel volume t=0.5 vs polynomial", PBallSpec.unit(3.0, 2),
+     0.5, None),
+)
+_STEINER_N3 = (
+    ("ball parallel volume t=0.5 vs closed form", PBallSpec.unit(2.0, 3),
+     0.5, 4.0 * math.pi / 3.0 * 1.5 ** 3),
+    ("weighted p=1.5 parallel volume t=1 vs polynomial",
+     PBallSpec(p=1.5, weights=(1.0, 2.0, 1.0)), 1.0, None),
+)
 
 
-def _suite_steiner_n3(cfg, seed):
+def _suite_steiner(checks, cfg, seed):
     mc = McConfig(sample_count=200_000, seed=seed)
     out = []
-    est, se = steiner_mc_volume(PBallSpec.unit(2.0, 3), 0.5, mc)
-    ref = 4.0 * math.pi / 3.0 * 1.5 ** 3
-    out.append(("ball parallel volume t=0.5 vs closed form",
-                abs(est - ref) <= 3.0 * se,
-                f"est={est:.6f} ref={ref:.6f} se={se:.2e}"))
-    spec = PBallSpec(p=1.5, weights=(1.0, 2.0, 1.0))
-    ref = steiner_polynomial(spec, 1.0, cfg)
-    est, se = steiner_mc_volume(spec, 1.0, mc)
-    out.append(("weighted p=1.5 parallel volume t=1 vs polynomial",
-                abs(est - ref) <= 3.0 * se,
-                f"est={est:.6f} ref={ref:.6f} se={se:.2e}"))
+    for label, spec, t, ref in checks:
+        if ref is None:
+            ref = steiner_polynomial(spec, t, cfg)
+        est, se = steiner_mc_volume(spec, t, mc)
+        out.append((label, abs(est - ref) <= 3.0 * se,
+                    f"est={est:.6f} ref={ref:.6f} se={se:.2e}"))
     return out
 
 
@@ -476,8 +456,8 @@ def _suite_profile(cfg, seed):
 
 
 _SUITES = {
-    "steiner-n2": _suite_steiner_n2,
-    "steiner-n3": _suite_steiner_n3,
+    "steiner-n2": partial(_suite_steiner, _STEINER_N2),
+    "steiner-n3": partial(_suite_steiner, _STEINER_N3),
     "ball": _suite_ball,
     "ellipsoid": _suite_ellipsoid,
     "phase": _suite_phase,

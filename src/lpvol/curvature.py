@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, DomainError
-from .exactvol import PBallSpec
+from .exactvol import PBallSpec, _pnorm
 from .roots import solve_increasing
 from .specfun import kappa
 from .symfun import batched_loo_log
@@ -34,6 +34,15 @@ __all__ = [
 ]
 
 _GAUGE_TOL = 1e-12
+
+
+def _vector(spec: PBallSpec, x, what: str) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if v.shape != (spec.n,):
+        raise DomainError(f"{what} must have shape ({spec.n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{what} must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -49,12 +58,7 @@ class BoundaryPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.coords, dtype=float)
-        if x.shape != (self.spec.n,):
-            raise DomainError(
-                f"coords must have shape ({self.spec.n},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("coords must be finite")
+        x = np.array(_vector(self.spec, self.coords, "coords"))
         resid = abs(float(self.spec.gauge(x)) - 1.0)
         if resid > _GAUGE_TOL:
             raise DomainError(
@@ -68,16 +72,21 @@ class BoundaryPoint:
 
 
 def boundary_point(spec: PBallSpec, x: Sequence[float]) -> BoundaryPoint:
-    """Radial lift of a nonzero vector onto the boundary: x / F(x)^(1/p)."""
-    v = np.asarray(x, dtype=float)
-    if v.shape != (spec.n,):
-        raise DomainError(f"point must have shape ({spec.n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("point must be finite")
-    gauge = float(spec.gauge(v)) ** (1.0 / spec.p)
+    """Radial lift of a nonzero vector onto the boundary: x / F(x)^(1/p),
+    max-scaled so that no power overflows or underflows at large p."""
+    v = _vector(spec, x, "point")
+    gauge = float(_pnorm(np.abs(spec.weights * v)[None], spec.p)[0])
     if not (math.isfinite(gauge) and gauge > 0.0):
         raise DegenerateInput("cannot lift the zero vector to the boundary")
     return BoundaryPoint(spec, v / gauge)
+
+
+def _exp(log_value: float, what: str) -> float:
+    """e^log_value, or DegenerateInput when that overflows a double."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DegenerateInput(f"{what} is beyond the double range") from None
 
 
 def _curvature_data(pt: BoundaryPoint):
@@ -86,6 +95,7 @@ def _curvature_data(pt: BoundaryPoint):
     c_i = a_i^(2p) |x_i|^(2p-2) (squared gradient components over p^2),
     w_i = a_i^p |x_i|^(p-2) (second-derivative weights over p(p-1)),
     S = sqrt(sum c_i) = |grad F| / p.
+    At large p those of small coordinates underflow to 0.
     """
     spec = pt.spec
     x = pt.coords
@@ -107,7 +117,8 @@ def principal_curvatures(pt: BoundaryPoint) -> np.ndarray:
     They are mu/S for the n-1 roots mu of the secular equation
     sum_i c_i prod_(j != i) (d_j - mu) = 0 with d_j = (p-1) w_j: one
     root inside each gap between consecutive distinct d values, plus a
-    root of multiplicity k-1 at every k-fold d.  In each gap the rational
+    root of multiplicity k-1 at every k-fold d (k where every c of that d
+    underflowed to 0: no pole then).  In each gap the rational
     form sum c_i/(d_i - mu) is increasing, with derivative
     sum c_i/(d_i - mu)^2, and spans -inf..+inf; one solve_increasing
     call finds the roots of all gaps at once.
@@ -117,15 +128,17 @@ def principal_curvatures(pt: BoundaryPoint) -> np.ndarray:
     uniq, inv = np.unique(d, return_inverse=True)
     weight = np.zeros(uniq.shape[0])
     np.add.at(weight, inv, c)
-    counts = np.bincount(inv, minlength=uniq.shape[0])
+    pole = weight > 0.0
+    counts = np.bincount(inv, minlength=uniq.shape[0]) - pole
+    poles, weight = uniq[pole], weight[pole]
 
     def secular(mu):
-        r = 1.0 / (uniq[None, :] - mu[:, None])
+        r = 1.0 / (poles[None, :] - mu[:, None])
         return r @ weight, (r * r) @ weight
 
     with np.errstate(divide="ignore"):
-        gaps = solve_increasing(secular, uniq[:-1], uniq[1:])
-    return np.sort(np.concatenate([np.repeat(uniq, counts - 1), gaps])) / s
+        gaps = solve_increasing(secular, poles[:-1], poles[1:])
+    return np.sort(np.concatenate([np.repeat(uniq, counts), gaps])) / s
 
 
 def sigma_curvatures(pt: BoundaryPoint, m: int) -> float:
@@ -140,11 +153,14 @@ def sigma_curvatures(pt: BoundaryPoint, m: int) -> float:
         raise DomainError(f"order m must lie in 1..{n}, got {m!r}")
     m = int(m)
     c, w, s = _curvature_data(pt)
-    # sum_i c_i [z^(m-1)] prod_(r != i) (1 + z w_r)
-    log_sum = float(batched_loo_log(
-        np.zeros((1, n)), np.log(w)[None], np.log(c)[None], m)[0])
-    return math.exp((m - 1) * math.log(pt.spec.p - 1.0)
-                    - (m + 1) * math.log(s) + log_sum)
+    # sum_i c_i [z^(m-1)] prod_(r != i) (1 + z w_r); an underflowed c or
+    # w enters as log 0 = -inf
+    with np.errstate(divide="ignore"):
+        log_sum = float(batched_loo_log(
+            np.zeros((1, n)), np.log(w)[None], np.log(c)[None], m)[0])
+    return _exp((m - 1) * math.log(pt.spec.p - 1.0)
+                - (m + 1) * math.log(s) + log_sum,
+                f"sigma_{m - 1} of the curvatures")
 
 
 def gauss_curvature(pt: BoundaryPoint) -> float:
@@ -154,9 +170,10 @@ def gauss_curvature(pt: BoundaryPoint) -> float:
     """
     c, w, s = _curvature_data(pt)
     n = pt.n
-    log_val = ((n - 1) * math.log(pt.spec.p - 1.0)
-               + float(np.sum(np.log(w))) - (n + 1) * math.log(s))
-    return math.exp(log_val)
+    with np.errstate(divide="ignore"):   # an underflowed w_j gives 0
+        log_val = ((n - 1) * math.log(pt.spec.p - 1.0)
+                   + float(np.sum(np.log(w))) - (n + 1) * math.log(s))
+    return _exp(log_val, "the Gauss curvature")
 
 
 def curvature_density(pt: BoundaryPoint, m: int) -> float:
@@ -164,28 +181,17 @@ def curvature_density(pt: BoundaryPoint, m: int) -> float:
     surface measure: sigma_(m-1)(curvatures) / (m kappa_m).
 
     m = 1 gives the constant 1/2 (the curvature measure of top index is
-    half the surface measure)."""
-    n = pt.n
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
-        raise DomainError(f"order m must lie in 1..{n}, got {m!r}")
-    m = int(m)
+    half the surface measure).  sigma_curvatures checks m."""
     return sigma_curvatures(pt, m) / (m * kappa(m))
 
 
 def support_function(spec: PBallSpec, u: Sequence[float]) -> float:
     """h(u) = max over the ball of <u, x> = (sum_i |u_i/a_i|^q)^(1/q)."""
-    v = np.asarray(u, dtype=float)
-    if v.shape != (spec.n,):
-        raise DomainError(f"direction must have shape ({spec.n},), got "
-                          f"{v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("direction must be finite")
-    z = np.abs(v) / spec.weights
-    top = float(np.max(z))
-    if top == 0.0:
+    v = _vector(spec, u, "direction")
+    if not np.any(v):
         raise DomainError("direction must be nonzero")
     q = spec.p / (spec.p - 1.0)
-    return top * float(np.sum((z / top) ** q)) ** (1.0 / q)
+    return float(_pnorm((np.abs(v) / spec.weights)[None], q)[0])
 
 
 def gauss_map(pt: BoundaryPoint) -> np.ndarray:
@@ -202,12 +208,7 @@ def inverse_gauss_map(spec: PBallSpec, u: Sequence[float]) -> BoundaryPoint:
 
         x_i = a_i^(-q) |u_i|^(q-1) sign(u_i) / h(u)^(q-1).
     """
-    v = np.asarray(u, dtype=float)
-    if v.shape != (spec.n,):
-        raise DomainError(f"normal must have shape ({spec.n},), got "
-                          f"{v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("normal must be finite")
+    v = _vector(spec, u, "normal")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-10:
         raise DomainError(f"normal must be a unit vector, |u| = {norm!r}")

@@ -91,6 +91,15 @@ class PBallSpec:
         return (np.abs(self.weights * x) ** self.p).sum(axis=-1)
 
 
+def _pnorm(z: np.ndarray, p: float) -> np.ndarray:
+    """(sum_i z_i^p)^(1/p) per row of z >= 0, taken as m (sum_i
+    (z_i/m)^p)^(1/p) with m the row maximum, so that no power overflows
+    at large p (nor at q = p/(p-1) near p = 1).  A zero row gives 0."""
+    m = z.max(axis=1)
+    terms = (z / np.where(m > 0.0, m, 1.0)[:, None]) ** p
+    return m * terms.sum(axis=1) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class MomentRequest:
     """A boundary-moment request: codimension index m and coordinate

@@ -74,17 +74,15 @@ class LimitLaw:
     """One of the three limit laws, with its regime-specific constants.
 
     Every normaliser is exact: a gamma function at the edges, and
-    I(theta*) = F(theta*; 0), J(theta*) = F(theta*; p-2) from the F-table
-    in the bulk, so the total mass is 1 by construction.  The tests check
-    it against an unrelated quadrature.
+    I(theta*) = F(theta*; 0), J(theta*) = F(theta*; p-2) from the phase
+    point in the bulk, so the total mass is 1 by construction.  The tests
+    check it against an unrelated quadrature.
     """
 
     regime: str
     p: float
     alpha: Optional[float] = None
     phase_point: Optional[PhasePoint] = None
-    log_i: Optional[float] = None
-    log_j: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
@@ -93,8 +91,7 @@ class LimitLaw:
         if self.regime == "bulk":
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise DomainError("bulk law needs 0 < alpha < 1")
-            if (self.phase_point is None or self.log_i is None
-                    or self.log_j is None):
+            if self.phase_point is None:
                 raise DomainError("bulk law needs phase data; use "
                                   "LimitLaw.bulk")
 
@@ -103,10 +100,7 @@ class LimitLaw:
     @classmethod
     def bulk(cls, p, alpha: float, cfg: QuadConfig = None) -> "LimitLaw":
         pp = phase_maximizer(p, alpha, cfg)
-        p = pp.p
-        tab = f_family_log_table(p, [pp.theta_star], [0.0, p - 2.0], cfg)[0]
-        return cls("bulk", p, alpha=float(alpha), phase_point=pp,
-                   log_i=float(tab[0]), log_j=float(tab[1]))
+        return cls("bulk", pp.p, alpha=float(alpha), phase_point=pp)
 
     @classmethod
     def left_edge(cls, p) -> "LimitLaw":
@@ -144,18 +138,18 @@ def limit_density(law: LimitLaw, u) -> np.ndarray:
             out = ((p - 1.0) * math.sqrt(lam0 / math.pi) * pw
                    * np.exp(-lam0 * au ** (2.0 * p - 2.0)))
         else:
-            t = law.phase_point.theta_star
-            base = np.exp(-au ** p - t * au ** (2.0 * p - 2.0))
-            out = (law.alpha * math.exp(-law.log_i) * base
-                   + (1.0 - law.alpha) * math.exp(-law.log_j) * pw * base)
+            pp = law.phase_point
+            base = np.exp(-au ** p - pp.theta_star * au ** (2.0 * p - 2.0))
+            out = (law.alpha * math.exp(-pp.log_i) * base
+                   + (1.0 - law.alpha) * math.exp(-pp.log_j) * pw * base)
     return float(out[0]) if scalar else out
 
 
 def limit_moment(law: LimitLaw, lam: float, cfg: QuadConfig = None) -> float:
     """E |xi|^lam, lam >= 0: a gamma ratio at the edges, a ratio of
-    F-table values in the bulk.  Pass the cfg the law was built with, so
-    that numerator and normalisers come from one table.  DomainError when
-    the moment lies outside the double range.
+    F-table values in the bulk, numerator and normalisers from one row
+    at theta*, so E|xi|^0 = 1 exactly.  DomainError when the moment lies
+    outside the double range.
     """
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 0.0):
@@ -171,13 +165,13 @@ def limit_moment(law: LimitLaw, lam: float, cfg: QuadConfig = None) -> float:
         return math.exp(_checked_log(
             log_gamma(s) - 0.5 * math.log(math.pi)
             - lam / (2.0 * p - 2.0) * math.log(lam0), what))
-    t = law.phase_point.theta_star
-    tab = f_family_log_table(p, [t], [lam, lam + p - 2.0], cfg)[0]
+    log_i, log_j, log_a, log_b = f_family_log_table(
+        p, [law.phase_point.theta_star], [0.0, p - 2.0, lam, lam + p - 2.0],
+        cfg)[0]
     # each ratio is a moment of a probability law, so neither underflows
-    return (law.alpha * math.exp(_checked_log(float(tab[0]) - law.log_i,
-                                              what))
+    return (law.alpha * math.exp(_checked_log(float(log_a - log_i), what))
             + (1.0 - law.alpha) * math.exp(
-                _checked_log(float(tab[1]) - law.log_j, what)))
+                _checked_log(float(log_b - log_j), what)))
 
 
 def _moment_ratio_log(p, n: int, j: int, lambdas: Sequence[float],

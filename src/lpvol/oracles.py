@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
-from .exactvol import PBallSpec
+from .exactvol import PBallSpec, _pnorm
 from .roots import solve_increasing, walk_bracket
 from .rng import stream
 from .specfun import QuadConfig, kappa, log_choose, log_kappa
@@ -204,15 +204,6 @@ def ellipsoid_vj(semiaxes: Sequence[float], j: int, cfg: QuadConfig = None,
                       epsabs=1e-13, epsrel=rel, limit=200)
         total += float(b2[i]) * sig * val
     return kappa(j) * total
-
-
-def _pnorm(z: np.ndarray, p: float) -> np.ndarray:
-    """(sum_i z_i^p)^(1/p) per row of z >= 0, taken as m (sum_i
-    (z_i/m)^p)^(1/p) with m the row maximum, so that no power overflows
-    at large p (nor at q = p/(p-1) near p = 1)."""
-    m = z.max(axis=1)
-    terms = (z / np.where(m > 0.0, m, 1.0)[:, None]) ** p
-    return m * terms.sum(axis=1) ** (1.0 / p)
 
 
 def _radii(spec: PBallSpec, t: float) -> tuple[float, float]:

@@ -691,15 +691,19 @@ def f_family_large_t(p, nu) -> "LargeTAsymptote":
     """Large-t asymptote of F_p(t; nu): returns an object with decay
     exponent s = (nu+1)/(2p-2), prefactor Gamma(s)/(p-1), and the relative
     correction ratio Gamma(s + p/(2p-2))/Gamma(s) applied at exponent
-    p/(2p-2)."""
+    p/(2p-2).  DomainError when either overflows a double."""
     p = as_exponent(p)
     nu = float(nu)
     if not nu > -1.0:
         raise DomainError(f"nu must exceed -1, got {nu}")
     s = (nu + 1.0) / (2.0 * p - 2.0)
     step = p / (2.0 * p - 2.0)
-    gamma_factor = math.exp(math.lgamma(s) - math.log(p - 1.0))
-    ratio = math.exp(math.lgamma(s + step) - math.lgamma(s))
+    try:
+        gamma_factor = math.exp(math.lgamma(s) - math.log(p - 1.0))
+        ratio = math.exp(math.lgamma(s + step) - math.lgamma(s))
+    except OverflowError:
+        raise DomainError(f"large-t asymptote of F_p(t; nu) at p={p:g}, "
+                          f"nu={nu:g} overflows a double") from None
     return LargeTAsymptote(decay=s, gamma_factor=gamma_factor,
                            correction_ratio=ratio, correction_step=step)
 

@@ -28,6 +28,7 @@ from lpvol.asymptotics import (
 from lpvol.errors import ConvergenceFailure, DomainError
 from lpvol.maxwell import lambda0
 from lpvol.oracles import ball_vj
+from lpvol.specfun import f_family_log_table
 
 
 class TestPhaseMaximizer:
@@ -47,6 +48,26 @@ class TestPhaseMaximizer:
             bulk_asymptotic(1.7, n, n // 2, cfg)
         assert len(calls) == steps
         assert phase_maximizer(np.float64(1.7), 0.5) is first
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 10.0])
+    def test_point_carries_its_f_row(self, p, cfg):
+        for beta in (0.1, 0.5, 0.9):
+            pp = phase_maximizer(p, beta, cfg)
+            row = f_family_log_table(p, [pp.theta_star],
+                                     [0.0, p - 2.0, 2.0 * p - 2.0], cfg)[0]
+            assert (pp.log_i, pp.log_j, pp.log_k) == tuple(row)
+
+    def test_bulk_law_reads_the_phase_row(self, cfg, monkeypatch):
+        # the growth law takes I, J, K at theta* from the phase point and
+        # asks the F-table for nothing once theta* is solved
+        from lpvol import asymptotics
+        want = bulk_asymptotic(1.7, 40, 20, cfg).log_abs
+
+        def no_table(*args):
+            raise AssertionError("unexpected F-table call")
+
+        monkeypatch.setattr(asymptotics, "f_family_log_table", no_table)
+        assert bulk_asymptotic(1.7, 40, 20, cfg).log_abs == want
 
     def test_round_ball_closed_form(self):
         # for p = 2 the critical equation reduces to theta = (1-b)/b
@@ -104,9 +125,11 @@ class TestPhaseMaximizer:
         with pytest.raises(DomainError):
             phase_maximizer(2.0, 1.0)
         with pytest.raises(ConvergenceFailure):
-            PhasePoint(2.0, 0.5, 1.0, -0.5, -0.1, residual=1e-6)
+            PhasePoint(2.0, 0.5, 1.0, -0.5, -0.1, residual=1e-6,
+                       log_i=0.0, log_j=0.0, log_k=0.0)
         with pytest.raises(ConvergenceFailure):
-            PhasePoint(2.0, 0.5, 1.0, -0.5, 0.1, residual=0.0)
+            PhasePoint(2.0, 0.5, 1.0, -0.5, 0.1, residual=0.0,
+                       log_i=0.0, log_j=0.0, log_k=0.0)
 
 
 class TestPhaseSecondDerivative:

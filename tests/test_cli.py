@@ -342,6 +342,33 @@ class TestCurvatureCommand:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["-p", "1000", "--point", "3,1"],
+        ["-p", "400", "--point", "0.01,0.02,0.03", "--m", "2"],
+    ])
+    def test_large_exponent_record_is_finite(self, argv):
+        # the radial lift once overflowed here and reported the zero
+        # vector; every warning is an error in this process
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lpvol.cli", "curvature",
+             *argv, "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        # non-finite numbers would print as null
+        assert all(isinstance(row[1], float) for row in rows)
+
+    def test_curvature_beyond_the_double_range_is_two(self, capsys):
+        rc, out, err = run(capsys, [
+            "curvature", "-p", "1.01", "--point", "1,1e-300,1e-300",
+            "--m", "3",
+        ])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "double range" in err
+
 
 class TestMaxwellCommand:
     def test_round_ball_fourth_moment_gaps(self, capsys):
@@ -487,6 +514,32 @@ class TestValidateCommand:
     def test_requires_a_suite(self, capsys):
         rc, _, err = run(capsys, ["validate"])
         assert rc == 2
+
+    @pytest.mark.parametrize("seed, lines", [
+        (0, ("est=12.568160 ref=12.566371 se=1.47e-02",
+             "est=7.694100 ref=7.691172 se=7.09e-03",
+             "est=14.104935 ref=14.137167 se=3.02e-02",
+             "est=22.559040 ref=22.570788 se=5.36e-02")),
+        (1, ("est=12.559760 ref=12.566371 se=1.47e-02",
+             "est=7.684425 ref=7.691172 se=7.11e-03",
+             "est=14.133150 ref=14.137167 se=3.02e-02",
+             "est=22.569360 ref=22.570788 se=5.36e-02")),
+        (1536780855, ("est=12.582000 ref=12.566371 se=1.47e-02",
+                      "est=7.698735 ref=7.691172 se=7.08e-03",
+                      "est=14.181750 ref=14.137167 se=3.01e-02",
+                      "est=22.599360 ref=22.570788 se=5.36e-02")),
+    ])
+    def test_steiner_suites_print_fixed_bytes(self, capsys, seed, lines):
+        labels = ("steiner-n2: disk parallel volume t=1 vs 4pi",
+                  "steiner-n2: p=3 disk parallel volume t=0.5 vs polynomial",
+                  "steiner-n3: ball parallel volume t=0.5 vs closed form",
+                  "steiner-n3: weighted p=1.5 parallel volume t=1 vs "
+                  "polynomial")
+        rc, out, _ = run(capsys, ["validate", "steiner-n2", "steiner-n3",
+                                  "--seed", str(seed)])
+        assert rc == 0
+        assert out == "".join(f"PASS {label} ({detail})\n"
+                              for label, detail in zip(labels, lines))
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setitem(

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ellipe
+from scipy.special import ellipe, logsumexp
 
 from lpvol.curvature import (
     BoundaryPoint,
@@ -321,3 +321,69 @@ class TestArgumentChecks:
                 sigma_curvatures(pt, m)
             with pytest.raises(DomainError):
                 curvature_density(pt, m)
+
+
+def _max_scaled_norm(z, p):
+    """(sum z_i^p)^(1/p) of z >= 0 in Python floats, as m (sum (z_i/m)^p)^(1/p)
+    with m = max z."""
+    top = max(z)
+    return top * math.fsum((v / top) ** p for v in z) ** (1.0 / p)
+
+
+class TestLargeExponent:
+    """At large p the plain sum sum |a_i v_i|^p over- or underflows, and so
+    do the powers of the small coordinates in the curvature data."""
+
+    @pytest.mark.parametrize("p", [1.001, 400.0, 1000.0])
+    @pytest.mark.parametrize("v", [[3.0, 1.0], [0.1, 0.05],
+                                   [0.01, -0.02, 0.03], [2.0, 1e-3, -5.0]])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_lift_and_support_match_the_closed_form(self, p, v, weighted):
+        a = 1.0 + 0.5 * np.arange(len(v)) if weighted else np.ones(len(v))
+        spec = PBallSpec(p, a)
+        z = np.abs(v) * a
+        pt = boundary_point(spec, v)
+        np.testing.assert_allclose(
+            pt.coords, np.array(v) / _max_scaled_norm(z, p), rtol=1e-14,
+            atol=0.0)
+        q = p / (p - 1.0)
+        assert support_function(spec, v) == pytest.approx(
+            _max_scaled_norm(np.abs(v) / a, q), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p, v, m", [(1000.0, [3.0, 1.0], 1),
+                                         (400.0, [0.01, 0.02, 0.03], 2)])
+    def test_curvatures_stay_finite(self, p, v, m):
+        # c_i and w_i of the small coordinates underflow to 0; the closed
+        # forms, taken here in logs, round to what the functions return
+        pt = boundary_point(PBallSpec.unit(p, len(v)), v)
+        n = len(v)
+        log_x = np.log(np.abs(pt.coords))
+        log_c = 2.0 * (p - 1.0) * log_x
+        log_w = (p - 2.0) * log_x
+        log_s = 0.5 * logsumexp(log_c)
+        assert gauss_curvature(pt) == pytest.approx(math.exp(
+            (n - 1) * math.log(p - 1.0) + log_w.sum() - (n + 1) * log_s),
+            rel=1e-12, abs=0.0)
+        # sum_i c_i e_(m-1)(w without i), with e_0 = 1 and e_1 a sum
+        terms = [log_c[i] + (0.0 if m == 1 else
+                             logsumexp(np.delete(log_w, i)))
+                 for i in range(n)]
+        sigma = sigma_curvatures(pt, m)
+        assert sigma == pytest.approx(math.exp(
+            (m - 1) * math.log(p - 1.0) - (m + 1) * log_s
+            + logsumexp(terms)), rel=1e-12, abs=0.0)
+        assert curvature_density(pt, m) == sigma / (m * kappa(m))
+        k = principal_curvatures(pt)
+        assert k.shape == (n - 1,) and np.all(np.isfinite(k))
+        assert np.all(k >= 0.0) and np.all(np.diff(k) >= 0.0)
+        # the roots are resolved to 4 ulp of the largest d, which the
+        # CLI's absolute error column (1e-12) covers
+        assert abs(k.sum() - sigma_curvatures(pt, 2)) <= 1e-12
+
+    def test_curvature_beyond_the_double_range_is_degenerate(self):
+        # near the axes at p near 1 the w_i grow like |x_i|^(p-2)
+        pt = boundary_point(PBallSpec.unit(1.01, 3), [1.0, 1e-300, 1e-300])
+        with pytest.raises(DegenerateInput, match="double range"):
+            gauss_curvature(pt)
+        with pytest.raises(DegenerateInput, match="double range"):
+            sigma_curvatures(pt, 3)

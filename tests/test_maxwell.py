@@ -130,11 +130,39 @@ class TestDensities:
 
     @pytest.mark.parametrize("p, alpha", [(1.2, 0.7), (1.5, 0.3)])
     def test_zeroth_moment_uses_the_law_config(self, p, alpha):
-        # the moment's F-table and the law's normalisers must come from
-        # the same config, or their ratio is off 1 by the quadrature error
+        # the moment's F-table and its normalisers are one row, so their
+        # ratio is not off 1 by the quadrature error
         cfg = QuadConfig(rel_tol=1e-6)
         law = LimitLaw.bulk(p, alpha, cfg)
         assert abs(limit_moment(law, 0.0, cfg) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("p, alpha", [(1.2, 0.05), (1.5, 0.3),
+                                          (3.0, 0.5), (4.0, 0.9)])
+    def test_zeroth_moment_is_exactly_one_for_any_config(self, p, alpha,
+                                                         cfg, loose_cfg):
+        law = LimitLaw.bulk(p, alpha, cfg)
+        for moment_cfg in (cfg, loose_cfg, QuadConfig(rel_tol=1e-6)):
+            assert limit_moment(law, 0.0, moment_cfg) == 1.0
+
+    def test_bulk_law_reads_its_phase_point(self, cfg, monkeypatch):
+        # once theta* is solved, the law and its density ask the F-table
+        # for nothing: I(theta*) and J(theta*) come with the phase point
+        from lpvol import asymptotics, maxwell
+        pp = asymptotics.phase_maximizer(2.5, 0.4, cfg)
+
+        def no_table(*args):
+            raise AssertionError("unexpected F-table call")
+
+        monkeypatch.setattr(asymptotics, "f_family_log_table", no_table)
+        monkeypatch.setattr(maxwell, "f_family_log_table", no_table)
+        law = LimitLaw.bulk(2.5, 0.4, cfg)
+        assert law.phase_point is pp
+        u = np.array([0.0, 0.5, 2.0])
+        t = pp.theta_star
+        base = np.exp(-u ** 2.5 - t * u ** 3.0)
+        want = (0.4 * math.exp(-pp.log_i) * base
+                + 0.6 * math.exp(-pp.log_j) * u ** 0.5 * base)
+        assert limit_density(law, u) == pytest.approx(want, rel=1e-14)
 
     def test_moment_validation(self):
         with pytest.raises(DomainError):

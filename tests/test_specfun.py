@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lpvol import specfun
+from lpvol import asymptotics, specfun
 from lpvol.asymptotics import exp_profile
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, intrinsic_volume
@@ -34,6 +34,20 @@ def direct_log(p, t, nu, cfg=DEFAULT_CONFIG) -> float:
     evaluator."""
     return float(_direct_log_table(p, np.array([float(t)]),
                                    np.array([float(nu)]), cfg)[0][0, 0])
+
+
+@pytest.fixture()
+def fresh_caches():
+    """Empty the interpolant and phase-solve caches before and after the
+    test, so that it sees every build its calls make and leaves none
+    behind for the tests after it."""
+    def clear():
+        specfun._interpolant.cache_clear()
+        asymptotics._solve_phase.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 # the two evaluators of log F: the interpolant every caller reads (through
@@ -184,6 +198,23 @@ class TestLargeT:
             assert abs(slope - target) <= 0.15 * abs(target)
 
 
+class TestLargeTOverflow:
+    @pytest.mark.parametrize("p, nu", [(1.1, 200.0), (1.001, 5.0)])
+    def test_overflow_is_a_domain_error(self, p, nu):
+        # Gamma(s)/(p-1) with s = (nu+1)/(2p-2) is beyond a double here
+        with pytest.raises(DomainError, match=f"p={p:g}, nu={nu:g}"):
+            f_family_large_t(p, nu)
+
+    def test_in_range_values_unchanged(self):
+        p, nu = 1.1, 20.0
+        asym = f_family_large_t(p, nu)
+        s, step = (nu + 1.0) / (2.0 * p - 2.0), p / (2.0 * p - 2.0)
+        assert asym.gamma_factor == math.exp(math.lgamma(s)
+                                             - math.log(p - 1.0))
+        assert asym.correction_ratio == math.exp(math.lgamma(s + step)
+                                                 - math.lgamma(s))
+
+
 class TestNearOne:
     """p near 1: the rescaled z^p coefficient t^(-p/(2p-2)) is so small
     that the mass of the t >= 1 table sits many decades below its upper
@@ -296,7 +327,8 @@ class TestInterpolant:
             assert abs(vals[0, c] - f_family_at_zero_log(p, nu)) \
                 <= interp.error[c]
 
-    def test_scalar_callers_read_panel_nodes_only(self, monkeypatch):
+    def test_scalar_callers_read_panel_nodes_only(self, monkeypatch,
+                                                  fresh_caches):
         # one evaluator: the phase solves of exp_profile and the
         # normalisers and moment of the bulk law read the interpolant, so
         # the direct table runs on one panel's Chebyshev nodes at a time
@@ -307,17 +339,15 @@ class TestInterpolant:
             return _direct_log_table(p, ts, nus, cfg)
 
         monkeypatch.setattr(specfun, "_direct_log_table", counted)
-        # a config of its own gives fresh interpolants and phase solves
-        cfg = QuadConfig(max_subdivisions=508)
+        cfg = DEFAULT_CONFIG
         for alpha in np.linspace(0.0, 1.0, 21):
             exp_profile(3.0, alpha, cfg)
         law = LimitLaw.bulk(1.5, 0.5, cfg)
         limit_moment(law, 2.0, cfg)
         assert rows and all(r == _DEGREE + 1 for r in rows)
 
-    def test_extends_past_1e20_on_demand(self):
-        # a config of its own gives a fresh interpolant
-        cfg = QuadConfig(max_subdivisions=511)
+    def test_extends_past_1e20_on_demand(self, fresh_caches):
+        cfg = DEFAULT_CONFIG
         p, nus = 3.0, [0.0, 1.0, 4.0]
         f_family_log_interp(p, [0.5], nus, cfg)
         interp = _interpolant(p, (0.0, 1.0, 4.0), cfg)
