@@ -250,23 +250,37 @@ def face_index(regime: str, n: int, *, alpha: float = None, j: int = None,
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def left_edge_asymptotic(p, n, j) -> float:
-    """Fixed-j growth law: V_j ~ (c_p)^j n^(j(1-1/p)) / j! with
-
-        c_p = (2 sqrt(pi))^(1/p) (Gamma(1/(2p-2)) / (p-1))^(1-1/p).
-    """
+def _left_edge_log(p, n, j) -> float:
+    """log of the fixed-j growth law of left_edge_asymptotic, which stays
+    finite where the law itself overflows a double."""
     p = as_exponent(p)
     n = _check_dim(n)
     if not (isinstance(j, (int, np.integer)) and j >= 0):
         raise DomainError(f"left edge needs j >= 0, got {j!r}")
     j = int(j)
     if j == 0:
-        return 1.0
+        return 0.0
     log_c = (math.log(2.0 * math.sqrt(math.pi)) / p
              + (1.0 - 1.0 / p) * (math.lgamma(1.0 / (2.0 * p - 2.0))
                                   - math.log(p - 1.0)))
-    return math.exp(-math.lgamma(j + 1.0) + j * log_c
-                    + j * (1.0 - 1.0 / p) * math.log(n))
+    return (-math.lgamma(j + 1.0) + j * log_c
+            + j * (1.0 - 1.0 / p) * math.log(n))
+
+
+def left_edge_asymptotic(p, n, j) -> float:
+    """Fixed-j growth law: V_j ~ (c_p)^j n^(j(1-1/p)) / j! with
+
+        c_p = (2 sqrt(pi))^(1/p) (Gamma(1/(2p-2)) / (p-1))^(1-1/p).
+
+    DomainError when the value lies beyond the double range.
+    """
+    log_val = _left_edge_log(p, n, j)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise DomainError(
+            f"left-edge law e^{log_val:.6g} is beyond the double range"
+        ) from None
 
 
 def right_edge_asymptotic(p, n, m) -> LogValue:

@@ -40,12 +40,12 @@ from . import __version__
 from .errors import (ConvergenceFailure, DegenerateInput, DomainError,
                      QuadratureFailure)
 from .specfun import DEFAULT_CONFIG, QuadConfig
-from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volume_weighted,
-                       intrinsic_volumes, steiner_polynomial)
+from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volumes,
+                       steiner_polynomial)
 from . import oracles
 from .oracles import McConfig, steiner_mc_volume
-from .asymptotics import (bulk_asymptotic, exp_profile, face_index,
-                          left_edge_asymptotic, phase_maximizer,
+from .asymptotics import (_left_edge_log, bulk_asymptotic, exp_profile,
+                          face_index, phase_maximizer,
                           profile_references, right_edge_asymptotic,
                           surface_area_asymptotic)
 from .curvature import (boundary_point, curvature_density, gauss_curvature,
@@ -101,7 +101,8 @@ def _weights_arg(text: str) -> list:
     """--weights takes an inline comma list or a path to a file holding
     one (whitespace or comma separated)."""
     if os.path.exists(text):
-        text = ",".join(open(text).read().replace(",", " ").split())
+        with open(text) as fh:
+            text = ",".join(fh.read().replace(",", " ").split())
     return _float_list(text, "--weights")
 
 
@@ -126,7 +127,8 @@ def _load_config(path) -> QuadConfig:
              for f in fields(QuadConfig)}
     overrides = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(lines, 1):
@@ -214,15 +216,12 @@ def cmd_intrinsic(args) -> int:
     spec = _spec_from(args)
     if args.all:
         js = list(range(spec.n + 1))
+        results = intrinsic_volumes(spec, js, cfg)
     elif args.j is None:
         raise DomainError("give -j or --all")
     else:
         js = [args.j]
-    if args.all:
-        results = intrinsic_volumes(spec, js, cfg)
-    else:
-        route = intrinsic_volume if spec.is_unit else intrinsic_volume_weighted
-        results = [route(spec, args.j, cfg)]
+        results = [intrinsic_volume(spec, args.j, cfg)]
     rows = [(res.j, res.value.value, res.value.log10(), res.est_rel_error)
             for res in results]
     if args.all:
@@ -269,7 +268,7 @@ def cmd_asymptotic(args) -> int:
             if args.regime == "bulk":
                 log_asym = bulk_asymptotic(p, n, j, cfg).log_abs
             elif args.regime == "left":
-                log_asym = math.log(left_edge_asymptotic(p, n, j))
+                log_asym = _left_edge_log(p, n, j)
             else:
                 log_asym = right_edge_asymptotic(p, n, args.m).log_abs
         ln10 = math.log(10.0)
@@ -410,7 +409,7 @@ def _suite_ellipsoid(cfg, seed):
     semi = [1.0 / a for a in w]
     worst = 0.0
     for j in (1, 2):
-        got = intrinsic_volume_weighted(spec, j, cfg).value.value
+        got = intrinsic_volume(spec, j, cfg).value.value
         for form in ("A", "B"):
             ref = oracles.ellipsoid_vj(semi, j, cfg, form=form)
             worst = max(worst, abs(got - ref) / ref)

@@ -95,7 +95,9 @@ def _curvature_data(pt: BoundaryPoint):
     c_i = a_i^(2p) |x_i|^(2p-2) (squared gradient components over p^2),
     w_i = a_i^p |x_i|^(p-2) (second-derivative weights over p(p-1)),
     S = sqrt(sum c_i) = |grad F| / p.
-    At large p those of small coordinates underflow to 0.
+    Both are formed from z_i = a_i |x_i| <= 1, as c_i = a_i^2 z_i^(2p-2)
+    and w_i = a_i^2 z_i^(p-2), so no a_i^p overflows at large p; those
+    of small coordinates underflow to 0 there.
     """
     spec = pt.spec
     x = pt.coords
@@ -103,10 +105,10 @@ def _curvature_data(pt: BoundaryPoint):
         raise DegenerateInput(
             "curvature formulas require every coordinate nonzero")
     p = spec.p
-    ax = np.abs(x)
-    apow = spec.weights ** p
-    w = apow * ax ** (p - 2.0)
-    c = (apow * ax ** (p - 1.0)) ** 2
+    a2 = spec.weights ** 2
+    z = spec.weights * np.abs(x)
+    w = a2 * z ** (p - 2.0)
+    c = a2 * z ** (2.0 * p - 2.0)
     s = math.sqrt(float(np.sum(c)))
     return c, w, s
 
@@ -196,10 +198,12 @@ def support_function(spec: PBallSpec, u: Sequence[float]) -> float:
 
 def gauss_map(pt: BoundaryPoint) -> np.ndarray:
     """Outer unit normal grad F / |grad F|, componentwise
-    a_i^p |x_i|^(p-1) sign(x_i) up to normalization."""
+    a_i^p |x_i|^(p-1) sign(x_i) up to normalization, formed as
+    a_i z_i^(p-1) sign(x_i) with z_i = a_i |x_i| <= 1."""
     spec = pt.spec
     x = pt.coords
-    grad = spec.weights ** spec.p * np.abs(x) ** (spec.p - 1.0) * np.sign(x)
+    z = spec.weights * np.abs(x)
+    grad = spec.weights * z ** (spec.p - 1.0) * np.sign(x)
     return grad / np.linalg.norm(grad)
 
 

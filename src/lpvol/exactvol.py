@@ -4,22 +4,23 @@ p-balls  B = { x : sum_i |a_i x_i|^p <= 1 },  p > 1.
 Every quantity is a single absolutely convergent integral over an
 auxiliary variable theta in (0, inf), with the integrand built from the
 F-family; the integrals are evaluated in log space so dimensions in the
-thousands pose no scaling problem.  The F values come from the
-interpolant f_family_log_interp, which reports a bound eps_nu on the
-error of each log F column.  A log integrand that adds up k_nu log F
-values of column nu is off by at most sum_nu k_nu eps_nu, so
-est_rel_error adds expm1 of j eps_0 + (m-1) eps_(p-2) + eps_(2p-2) on the
-unit route and of n max eps on the weighted route.
+thousands pose no scaling problem.
 
-intrinsic_volumes integrates V_j for several j as one family: the
-integrands differ only in exponents, theta power and tail, so one mesh
-and one F-table batch per node serve them all.
+One theta integral serves every exact value: the boundary moment of
+codimension index m, whose integrand is a leave-one-out coefficient sum
+over the coordinates (_moment_logs).  V_j, 0 < j < n, is that moment
+with all exponents zero and m = n - j, on unit and weighted bodies
+alike; V_0 = 1 and V_n = volume(spec) are closed forms.  Coordinates
+with equal weight and exponent form one group; when the whole body is
+one group (the unit ball among others) the sum is the closed form
+n C(n-1, m-1) v^(n-m) u^(m-1) w, the I^j J^(m-1) K integrand, and no
+per-coordinate engine call is made.  Several m of one body share one
+mesh and one F-table batch per node.
 
-Two independent routes are implemented on purpose.  The unit-weight route
-expresses V_j through powers I^j J^(n-j-1) K; the weighted route expands
-a product over coordinates and extracts a symmetric-polynomial
-coefficient per theta node.  For unit weights both must agree to
-quadrature accuracy, which the test suite exploits.
+The F values come from the interpolant f_family_log_interp, which
+reports a bound eps_nu on the error of each log F column.  Every term
+of the sum reads n - m values of the v column, m - 1 of u and one of w,
+so est_rel_error adds expm1 of (n-m) eps_v + (m-1) eps_u + eps_w.
 """
 
 from __future__ import annotations
@@ -197,77 +198,40 @@ def _with_f_error(log_int: float, log_err: float, log_f_err: float
 
 def intrinsic_volumes(spec: PBallSpec, js: Sequence[int],
                       cfg: QuadConfig = None) -> list:
-    """V_j for every j in js, in the order given.
+    """V_j for every j in js, in the order given, for any body.
 
-    Unit-weight bodies take the route of intrinsic_volume, others that of
-    intrinsic_volume_weighted.  The theta integrals of all requested j
-    are one family on a shared mesh (quadrature.log_theta_integral), so
-    each F-table batch serves every member; theta_nodes of each result
+    V_0 = 1 and V_n = volume(spec) are closed forms.  Every other V_j is
+    the boundary moment of codimension n - j with no exponents, and all
+    of them are one family theta integral on a shared mesh (_moment_logs),
+    so each F-table batch serves every member; theta_nodes of each result
     is the node count of that shared mesh.
     """
     cfg = _cfg(cfg)
-    if spec.is_unit:
-        return _unit_volumes(spec, js, cfg)
-    return _weighted_volumes(spec, js, cfg)
-
-
-def _checked_indices(spec: PBallSpec, js) -> list:
+    n = spec.n
     js = [int(j) for j in js]
     for j in js:
-        if not 0 <= j <= spec.n:
-            raise DomainError(
-                f"intrinsic volume index {j} outside 0..{spec.n}")
-    return js
-
-
-def _unit_volumes(spec: PBallSpec, js, cfg: QuadConfig) -> list:
-    """The unit route: V_j from the I^j J^(m-1) K theta-integral, m = n-j,
-    for all j in js at once.  j = 0 gives exactly 1; j = n is the
-    closed-form volume."""
-    n, p = spec.n, spec.p
-    js = _checked_indices(spec, js)
+        if not 0 <= j <= n:
+            raise DomainError(f"intrinsic volume index {j} outside 0..{n}")
     found = {0: IntrinsicVolumeResult(LogValue.one(), 0, 0, 0.0),
              n: IntrinsicVolumeResult(volume(spec), n, 0, 0.0)}
-    inner = np.array(sorted({j for j in js if 0 < j < n}), dtype=int)
-    if inner.size:
-        ms = n - inner
-        nus = np.array([0.0, p - 2.0, 2.0 * p - 2.0])
-        bound = np.zeros(3)
-
-        def log_smooth(th, idx):
-            tab, err = f_family_log_interp(p, th, nus, cfg)
-            np.maximum(bound, err, out=bound)
-            return (inner[idx] * tab[:, :1] + (ms[idx] - 1) * tab[:, 1:2]
-                    + tab[:, 2:])
-
-        log_ints, log_errs, nodes = log_theta_integral(
-            0.5 * ms - 1.0, log_smooth, (inner + p) / (2.0 * p - 2.0), cfg)
-        for j, log_int, log_err in zip(inner.tolist(), log_ints.tolist(),
-                                       log_errs.tolist()):
-            m = n - j
-            log_err = _with_f_error(
-                log_int, log_err, j * bound[0] + (m - 1) * bound[1] + bound[2])
-            pre = (math.log(p), (n - j - 1) * math.log(p - 1.0),
-                   log_choose(n, j), -log_kappa(m), -math.lgamma(1.0 + j / p),
-                   -math.lgamma(0.5 * m))
-            found[j] = IntrinsicVolumeResult(
-                LogValue.from_log(sum(pre) + log_int), j, nodes,
-                math.exp(log_err - log_int)
-                + _rounding_rel_error(pre, log_int))
+    inner = sorted({j for j in js if 0 < j < n})
+    if inner:
+        rows, nodes = _moment_logs(spec, [n - j for j in inner], np.zeros(n),
+                                   cfg)
+        for j, (log_val, rel) in zip(inner, rows):
+            found[j] = IntrinsicVolumeResult(LogValue.from_log(log_val), j,
+                                             nodes, rel)
     return [found[j] for j in js]
 
 
 def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
                      ) -> IntrinsicVolumeResult:
-    """V_j of the unit p-ball via the I^j J^(m-1) K theta-integral.
-
-    Requires unit weights (use intrinsic_volume_weighted otherwise).
-    j = 0 gives exactly 1; j = n falls back to the closed-form volume.
-    """
-    if not spec.is_unit:
-        raise DomainError(
-            "this route needs unit weights; see intrinsic_volume_weighted")
+    """V_j of a unit or weighted p-ball: intrinsic_volumes for one j."""
     return intrinsic_volumes(spec, [j], cfg)[0]
+
+
+# the same call, under the name that weighted-body callers use
+intrinsic_volume_weighted = intrinsic_volume
 
 
 def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
@@ -304,61 +268,65 @@ def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
     return gather, counts, ua2[gidx]
 
 
-def _moment_theta_integral(spec: PBallSpec, ms: np.ndarray, lam: np.ndarray,
-                           cfg: QuadConfig):
-    """Shared theta-integral core of the weighted route, for the family of
-    codimension indices ms that share the exponents lam.
+def _moment_logs(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig):
+    """Boundary moments of codimension indices ms (validated by the
+    caller) that share the padded exponents lam, as one family theta
+    integral.  Returns ([(log value, relative error) per m], theta nodes).
 
-    Integrand at each theta: the leave-one-out coefficient sum over
-    triples (v_k, u_k, w_k) = (F(th a_k^2; mu_k), a_k^2 F(.; mu_k+p-2),
-    a_k^2 F(.; mu_k+2p-2)) with mu_k = lambda_k, coefficient order m,
-    times theta^(m/2-1); coordinates with equal (a_k, lambda_k) enter
-    the engine once, as one group.  One gather per theta batch serves
-    every member, then one engine call per member still open.  At m = 1 the order-0 coefficient never reads u_k, so
-    that column (whose nu can fall to -1 or below when p < 2) is not
-    requested unless another member needs it.  Returns (log integrals,
-    log errors, nodes), the first two (K,) arrays; each error includes n
-    times the largest F-interpolant bound of the columns its member
-    reads, since n F-values multiply in every term.
+    Integrand at each theta: theta^(m/2-1) times the leave-one-out
+    coefficient sum of order m over the triples (v_k, u_k, w_k) =
+    (F(th a_k^2; lam_k), a_k^2 F(.; lam_k+p-2), a_k^2 F(.; lam_k+2p-2)).
+    Coordinates with equal (a_k, lam_k) enter the engine once, as one
+    group, and one gather per theta batch serves every member.  With a
+    single group the sum is n C(n-1, m-1) v^(n-m) u^(m-1) w =
+    m C(n, m) v^(n-m) u^(m-1) w in closed form: the integrand keeps
+    v^(n-m) u^(m-1) w and log C(n, m) takes the place of -log m in the
+    prefactor (for unit weights, the I^j J^(m-1) K integrand of V_j,
+    j = n - m).  Otherwise each member still open makes one engine call.
+    The u column is read whenever its nu = lam_k + p - 2 all exceed -1,
+    so the nu set does not depend on which m are asked for.
+    MomentRequest.validate ensures that for m > 1; at m = 1, where it can
+    fail when p < 2, the order-0 coefficient never reads u_k.
+
+    Every term of the sum reads n - m v-values, m - 1 u-values and one
+    w-value, so with eps the largest F-interpolant bound of each offset's
+    columns the log integrand is off by at most (n-m) eps_v +
+    (m-1) eps_u + eps_w, and each error includes that.
     """
     p, n = spec.p, spec.n
+    ms = np.asarray(ms, dtype=int)
     offsets = [0.0, 2.0 * p - 2.0]
-    if ms.max() > 1:
+    if lam.min() + p - 2.0 > -1.0:
         offsets.append(p - 2.0)
     gather, counts, a2 = _coordinate_log_f(spec, lam, offsets, cfg)
     log_a2 = np.log(a2)
-    bound = np.zeros(len(offsets))
+    one_group = len(counts) == 1
+    bound = np.zeros(3)   # eps_v, eps_w, eps_u (0 when u is not read)
+    read = bound[:len(offsets)]
 
     def log_smooth(th, idx):
         cols, err = gather(th)
-        np.maximum(bound, err, out=bound)
+        np.maximum(read, err, out=read)
         logv, logw = cols[0], log_a2 + cols[1]
         logu = log_a2 + cols[2] if len(cols) > 2 else logv
+        if one_group:
+            return (n - ms[idx]) * logv + (ms[idx] - 1) * logu + logw
         return np.stack([batched_loo_log(logv, logu if m > 1 else logv,
                                          logw, m, counts) for m in ms[idx]],
                         axis=1)
 
-    s_tail = (float(lam.sum()) + (n - ms) + p) / (2.0 * p - 2.0)
+    total = float(lam.sum())
+    s_tail = (total + (n - ms) + p) / (2.0 * p - 2.0)
     log_ints, log_errs, nodes = log_theta_integral(0.5 * ms - 1.0, log_smooth,
                                                    s_tail, cfg)
-    for k, m in enumerate(ms):
-        f_err = n * (bound.max() if m > 1 else bound[:2].max())
-        log_errs[k] = _with_f_error(log_ints[k], log_errs[k], f_err)
-    return log_ints, log_errs, nodes
-
-
-def _moment_logs(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig):
-    """Boundary moments of codimension indices ms (validated by the
-    caller) that share the padded exponents lam, as one family integral.
-    Returns ([(log value, relative error) per m], theta nodes)."""
-    p, n = spec.p, spec.n
-    ms = np.asarray(ms, dtype=int)
-    total = float(lam.sum())
-    log_ints, log_errs, nodes = _moment_theta_integral(spec, ms, lam, cfg)
+    eps_v, eps_w, eps_u = bound
     out = []
     for m, log_int, log_err in zip(ms.tolist(), log_ints.tolist(),
                                    log_errs.tolist()):
-        pre = (math.log(p), (m - 1) * math.log(p - 1.0), -math.log(m),
+        log_err = _with_f_error(
+            log_int, log_err, (n - m) * eps_v + (m - 1) * eps_u + eps_w)
+        pre = (math.log(p), (m - 1) * math.log(p - 1.0),
+               log_choose(n, m) if one_group else -math.log(m),
                -log_kappa(m), -math.lgamma((n + total + p - m) / p),
                -math.lgamma(0.5 * m),
                -float(((lam + 1.0) * np.log(spec.weights)).sum()))
@@ -372,30 +340,6 @@ def _moment_log(spec: PBallSpec, req: MomentRequest, cfg: QuadConfig):
     req.validate(spec)
     rows, nodes = _moment_logs(spec, [req.codim], req.padded(spec.n), cfg)
     return (*rows[0], nodes)
-
-
-def _weighted_volumes(spec: PBallSpec, js, cfg: QuadConfig) -> list:
-    """The coefficient-extraction route for all j in js at once: V_j is
-    the boundary moment of codimension n - j with no exponents; j = n is
-    the closed-form volume."""
-    n = spec.n
-    js = _checked_indices(spec, js)
-    found = {n: IntrinsicVolumeResult(volume(spec), n, 0, 0.0)}
-    inner = sorted({j for j in js if j < n})
-    if inner:
-        rows, nodes = _moment_logs(spec, [n - j for j in inner], np.zeros(n),
-                                   cfg)
-        for j, (log_val, rel) in zip(inner, rows):
-            found[j] = IntrinsicVolumeResult(LogValue.from_log(log_val), j,
-                                             nodes, rel)
-    return [found[j] for j in js]
-
-
-def intrinsic_volume_weighted(spec: PBallSpec, j: int,
-                              cfg: QuadConfig = None
-                              ) -> IntrinsicVolumeResult:
-    """V_j of a weighted p-ball via the coefficient-extraction route."""
-    return _weighted_volumes(spec, [j], _cfg(cfg))[0]
 
 
 def mixed_moment(spec: PBallSpec, request: MomentRequest,
@@ -421,7 +365,7 @@ def surface_moment(spec: PBallSpec, lambdas: Sequence[float] = (),
     prod_k F(theta a_k^2; lambda_k), integration by parts turns the
     surface integral of (G(0) - G(theta)) theta^(-3/2) into
     2 int theta^(-1/2) (-G'(theta)), and -G' is the m = 1 leave-one-out
-    sum of the weighted route, under the same prefactor.
+    sum of the moment integrand, under the same prefactor.
     """
     log_val, _, _ = _moment_log(spec, MomentRequest(1, lambdas), _cfg(cfg))
     return 2.0 * math.exp(log_val)

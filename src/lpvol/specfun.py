@@ -296,9 +296,19 @@ def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
                          lo, peak)
     b = solve_increasing(lambda y: (top - _LOG_WINDOW - h(y), -dh(y)),
                          peak, hi)
+    peak_terms = tuple(zip(terms(peak), (e_c, e_1)))
 
     def f(x):
-        return np.exp(h(a + (b - a) * x) - top).reshape(k * m, -1)
+        # h(y) - top as slope d - T expm1(e d) summed over both terms, T
+        # their values at the peak and d = y - peak: h and top reach 1e7
+        # at large nu, and their difference would carry that rounding.
+        # A term that underflowed at the peak adds 0 (not 0 * inf).
+        d = a + (b - a) * x - peak
+        shift = slope * d
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, e in peak_terms:
+                shift -= np.where(t > 0.0, t * np.expm1(e * d), 0.0)
+        return np.exp(shift).reshape(k * m, -1)
 
     piece, err = gk(f, 0.0, 1.0)
     piece = piece.reshape(k, m)

@@ -202,6 +202,10 @@ class TestEdgeGrowthLaws:
     def test_validation(self):
         with pytest.raises(DomainError):
             left_edge_asymptotic(2.0, 10, -1)
+        # e^1133 is beyond the double range: a typed error, not an
+        # OverflowError
+        with pytest.raises(DomainError, match="double range"):
+            left_edge_asymptotic(3.0, 100000, 300)
         with pytest.raises(DomainError):
             right_edge_asymptotic(2.0, 10, 0)
         with pytest.raises(DomainError):

@@ -17,8 +17,7 @@ import pytest
 
 from lpvol import cli
 from lpvol.cli import main
-from lpvol.exactvol import (PBallSpec, intrinsic_volume,
-                            intrinsic_volume_weighted)
+from lpvol.exactvol import PBallSpec, intrinsic_volume
 
 
 def run(capsys, argv):
@@ -61,6 +60,24 @@ class TestIntrinsicCommand:
         assert json.loads(out)["rows"][0][1] == pytest.approx(
             math.pi / 2.0, rel=1e-9
         )
+
+    def test_input_files_are_closed(self, tmp_path):
+        # an unclosed weights or config file is reported on stderr as
+        # "Exception ignored ... unclosed file" when the process ends
+        weights = tmp_path / "w.txt"
+        weights.write_text("1.0 2.0\n")
+        config = tmp_path / "q.cfg"
+        config.write_text("rel_tol=1e-10\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m",
+             "lpvol.cli", "intrinsic", "-p", "2", "-n", "2", "-j", "1",
+             "--weights", str(weights), "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "Exception" not in proc.stderr
 
     def test_requires_index_choice(self, capsys):
         rc, _, err = run(capsys, ["intrinsic", "-p", "2", "-n", "3"])
@@ -112,11 +129,9 @@ class TestIntrinsicCommand:
         n = int(argv[3])
         spec = (PBallSpec.unit(float(argv[1]), n) if weights is None
                 else PBallSpec(float(argv[1]), weights))
-        route = intrinsic_volume if weights is None \
-            else intrinsic_volume_weighted
         assert [row[0] for row in rows] == list(range(n + 1))
         for j, value, _, err in rows:
-            single = route(spec, j, cfg)
+            single = intrinsic_volume(spec, j, cfg)
             assert abs(value - single.value.value) <= value * err, j
 
     def test_weight_length_mismatch(self, capsys):
@@ -270,6 +285,17 @@ class TestAsymptoticCommand:
             math.sqrt(2.0 * math.pi * 50.0), rel=1e-9
         )
 
+    def test_left_regime_beyond_double_range(self, capsys):
+        # the law is e^1133 here: its row is taken in logs
+        rc, out, _ = run(capsys, [
+            "asymptotic", "-p", "3", "--regime", "left", "--j", "300",
+            "--n", "100000", "--format", "json",
+        ])
+        assert rc == 0
+        row = json.loads(out)["rows"][0]
+        assert all(isinstance(v, (int, float)) for v in row)
+        assert row[2] == pytest.approx(1133.21 / math.log(10.0), rel=1e-5)
+
     def test_bulk_needs_alpha(self, capsys):
         rc, _, err = run(capsys, [
             "asymptotic", "-p", "2", "--regime", "bulk", "--n", "10",
@@ -345,10 +371,13 @@ class TestCurvatureCommand:
     @pytest.mark.parametrize("argv", [
         ["-p", "1000", "--point", "3,1"],
         ["-p", "400", "--point", "0.01,0.02,0.03", "--m", "2"],
+        ["-p", "1100", "--point", "1,1", "--weights", "2,1"],
+        ["-p", "1000", "--point", "1,1", "--weights", "0.001,0.001"],
     ])
     def test_large_exponent_record_is_finite(self, argv):
         # the radial lift once overflowed here and reported the zero
-        # vector; every warning is an error in this process
+        # vector, and a_i^p overflows (or underflows) at large p with
+        # weights; every warning is an error in this process
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(

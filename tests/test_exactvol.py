@@ -68,15 +68,19 @@ class TestUnitIntrinsicVolumes:
         got = intrinsic_volume(spec, 4, cfg).value.value
         assert got == pytest.approx(volume(spec).value, rel=1e-10)
 
-    def test_unit_route_matches_weighted_route(self, cfg):
-        # at n >= 120 the weighted route's z^(m-1) coefficient sinks into
-        # subnormals unless the leave-one-out engine balances z per row
+    def test_closed_form_matches_leave_one_out_engine(self, cfg):
+        # a unit body is one coordinate group, integrated in closed form;
+        # one weight of 1 + 2^-40 makes two groups, which go through the
+        # leave-one-out engine and move V_j by about 1e-12.  At n >= 120
+        # the engine's z^(m-1) coefficient sinks into subnormals unless it
+        # balances z per row
         for p, n, js in ((1.7, 5, range(6)), (3.0, 120, (1,)),
                          (3.0, 160, (1,))):
             spec = PBallSpec.unit(p, n)
+            split = PBallSpec(p, (1.0 + 2.0 ** -40,) + (1.0,) * (n - 1))
             for j in js:
                 a = intrinsic_volume(spec, j, cfg).value.value
-                b = intrinsic_volume_weighted(spec, j, cfg).value.value
+                b = intrinsic_volume(split, j, cfg).value.value
                 assert b == pytest.approx(a, rel=1e-9)
 
     def test_index_out_of_range(self, cfg):
@@ -115,9 +119,8 @@ class TestIntrinsicVolumeFamilies:
     def test_single_index_mesh_is_unchanged(self, cfg, p, weights, j, nodes):
         # node counts of the one-integral-per-index engine: a family of
         # one must refine exactly as it did
-        spec = PBallSpec(p, weights)
-        route = intrinsic_volume if spec.is_unit else intrinsic_volume_weighted
-        assert route(spec, j, cfg).theta_nodes == nodes
+        assert intrinsic_volume(PBallSpec(p, weights), j,
+                                cfg).theta_nodes == nodes
 
     @pytest.mark.parametrize("weights", [(1.0,) * 5,
                                          (1.0, 2.0, 0.5, 1.5, 0.8)])
@@ -214,6 +217,9 @@ class TestMixedMoments:
             MomentRequest(0, ()).validate(spec)
         with pytest.raises(DomainError):
             MomentRequest(2, (0.0,) * 4).validate(spec)
+        # each exponent above 1 - p = -2 at m = n, their sum not above -p
+        with pytest.raises(DomainError, match="sum"):
+            MomentRequest(2, (-1.9, -1.9)).validate(PBallSpec.unit(3.0, 2))
 
 
 class TestSurfaceMoments:
@@ -277,6 +283,13 @@ class TestKeyIntegral:
         # comfortably inside the strip the integral converges
         assert key_integral(spec, 1.0, (), cfg) > 0.0
 
+    def test_exponent_checks(self, cfg):
+        spec = PBallSpec.unit(2.5, 2)
+        with pytest.raises(DomainError, match="3 exponents for dimension 2"):
+            key_integral(spec, 1.0, (0.0, 0.0, 0.0), cfg)
+        with pytest.raises(DomainError, match="exceed -1"):
+            key_integral(spec, 1.0, (-1.0,), cfg)
+
 
 class TestProjections:
     def test_kubota_factor(self):
@@ -286,6 +299,13 @@ class TestProjections:
     def test_ball_projects_to_disk(self, cfg):
         got = mean_projection_volume(PBallSpec.unit(2.0, 3), 2, cfg)
         assert got == pytest.approx(math.pi, rel=1e-10)
+
+    def test_index_checks(self, cfg):
+        for j in (-1, 4):
+            with pytest.raises(DomainError, match="outside 0..3"):
+                kubota_projection_factor(3, j)
+            with pytest.raises(DomainError, match="outside 0..3"):
+                mean_projection_volume(PBallSpec.unit(2.0, 3), j, cfg)
 
     def test_mean_width_of_ball(self, cfg):
         for n in (2, 4, 7):
@@ -314,14 +334,14 @@ class TestSteinerPolynomial:
         (2.0, (1.0, 1.0, 1.0), 0.5, 14.137166941074069),
         (3.0, (1.0, 1.0), 0.5, 7.691172233986194),
         (1.5, (1.0, 1.0, 1.0), 1.0, 28.640892342610208),
-        (1.5, (1.0, 2.0), 0.5, 4.469772541295696),
-        (1.5, (1.0, 2.0, 1.0), 1.0, 22.57078840174202),
+        (1.5, (1.0, 2.0), 0.5, 4.469772541302951),
+        (1.5, (1.0, 2.0, 1.0), 1.0, 22.57078840181511),
         (3.0, (0.5, 1.0, 2.0), 0.3, 13.177904657248273),
     ])
     def test_values_of_one_integral_per_index(self, cfg, p, weights, t,
                                               value):
-        # recorded when each V_j was its own theta integral; one shared
-        # mesh per body must give the same polynomial
+        # one shared mesh per body must give the polynomial of one theta
+        # integral per index; V_0 = 1 is exact on every body
         assert steiner_polynomial(PBallSpec(p, weights), t, cfg) == \
             pytest.approx(value, rel=1e-12)
 
@@ -385,8 +405,8 @@ class TestPolytopeLimits:
 
     # Weighted bodies {sum |a_i x_i|^p <= 1} tend to the box
     # prod [-1/a_i, 1/a_i] as p -> inf and to the crosspolytope
-    # conv{+-e_i / a_i} as p -> 1, through the weighted route at both
-    # ends of the p range.  Worst gaps over j at n = 4: 0.0254, 0.0127,
+    # conv{+-e_i / a_i} as p -> 1, through the leave-one-out engine at
+    # both ends of the p range.  Worst gaps over j at n = 4: 0.0254, 0.0127,
     # 0.0064 (box, p = 64, 128, 256) and 0.0885, 0.0438, 0.0218
     # (crosspolytope, p = 1.02, 1.01, 1.005).
     WEIGHTS = (1.0, 2.0, 0.5, 1.5)

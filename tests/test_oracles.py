@@ -440,6 +440,12 @@ class TestSteinerMonteCarlo:
     def test_validation(self):
         with pytest.raises(DomainError):
             McConfig(sample_count=100)
+        for seed in (-1, 2 ** 64, 1.5):
+            with pytest.raises(DomainError, match="seed"):
+                McConfig(seed=seed)
+        for seed, chunk in ((-1, 0), (0, -1)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                stream(seed, chunk)
         with pytest.raises(DomainError):
             steiner_mc_volume(
                 PBallSpec(2.0, (1.0, 1.0)), -0.5, McConfig(sample_count=20000)

@@ -122,7 +122,7 @@ class TestLogEngine:
 
 
 def unit_family(p, n, js, cfg):
-    """The unit route's theta integrand for V_j, j in js: powers, family
+    """The unit ball's theta integrand for V_j, j in js: powers, family
     log integrand (theta, idx) -> (T, len(idx)) and tail exponents, as
     exactvol builds them."""
     js = np.asarray(js)

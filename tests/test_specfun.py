@@ -270,11 +270,32 @@ class TestLargeNu:
                 + math.log1p(-corr))
         assert abs(vals[-1, 0] - asym) <= bound[0]
 
+    @pytest.mark.parametrize("nu", [3000.0, 5000.0])
+    def test_near_one(self, nu):
+        # at p = 1.001 the log-u piece's log-integrand peaks at 2e4 to 1e7;
+        # its drop from the peak must not carry the rounding of those
+        vals, bound = f_family_log_interp(1.001, [0.0, 1.0, 1e10], [nu])
+        assert np.isfinite(vals).all() and np.isfinite(bound).all()
+        assert abs(vals[0, 0] - f_family_at_zero_log(1.001, nu)) <= bound[0]
+
 
 class TestInterpolant:
     """f_family_log_interp, the piecewise Chebyshev interpolant in
     y = log1p(t) that the theta integrals read: its reported bound must
     cover the actual error in log F."""
+
+    @pytest.mark.parametrize("ts, nus", [
+        ([[0.0, 1.0]], [0.0]),
+        ([1.0], [[0.0]]),
+        ([-1e-3], [0.0]),
+        ([math.inf], [0.0]),
+        ([math.nan], [0.0]),
+        ([1.0], [-1.0]),
+        ([1.0], [math.nan]),
+    ])
+    def test_rejects_bad_arguments(self, ts, nus):
+        with pytest.raises(DomainError):
+            f_family_log_interp(2.5, ts, nus)
 
     @pytest.mark.parametrize("p", sorted({k[0] for k in LOG_F_CALIBRATION}))
     def test_bound_covers_mpmath_error(self, p):

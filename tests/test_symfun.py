@@ -233,7 +233,7 @@ class TestGroupedLooLog:
         assert np.all(got == -np.inf)
 
     def test_unit_ball_rows_match_ungrouped_pass(self):
-        # the weighted route groups the unit ball into one closed form, so
+        # the moment integrand takes the unit ball in closed form, so
         # the factor-by-factor pass is checked here on the same F columns:
         # (v, u, w) = (F(th; 0), F(th; p-2), F(th; 2p-2)) at p = 3, n = 160
         p, n = 3.0, 160
