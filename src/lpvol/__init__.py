@@ -7,10 +7,10 @@ __version__ = "0.1.0"
 from .errors import (ConvergenceFailure, DegenerateInput, DomainError,
                      LpvolError, OverflowGuard, QuadratureFailure)
 from .logspace import LogValue
-from .specfun import (DEFAULT_CONFIG, IJKL, PExponent, QuadConfig,
-                      as_exponent, f_family, f_family_at_zero,
-                      f_family_at_zero_log, f_family_large_t, f_family_log,
-                      f_family_log_table, ijkl, kappa, log_kappa)
+from .specfun import (DEFAULT_CONFIG, IJKL, QuadConfig, as_exponent,
+                      f_family, f_family_at_zero, f_family_at_zero_log,
+                      f_family_large_t, f_family_log, f_family_log_table,
+                      ijkl, kappa, log_kappa)
 from .exactvol import (IntrinsicVolumeResult, MomentRequest, PBallSpec,
                        intrinsic_volume, intrinsic_volume_weighted,
                        key_integral, kubota_projection_factor,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
-from .logspace import LogValue
+from .logspace import LogValue, exp_checked
 from .roots import solve_increasing, walk_bracket
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_choose)
@@ -274,13 +274,7 @@ def left_edge_asymptotic(p, n, j) -> float:
 
     DomainError when the value lies beyond the double range.
     """
-    log_val = _left_edge_log(p, n, j)
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        raise DomainError(
-            f"left-edge law e^{log_val:.6g} is beyond the double range"
-        ) from None
+    return exp_checked(_left_edge_log(p, n, j), "the left-edge law")
 
 
 def right_edge_asymptotic(p, n, m) -> LogValue:

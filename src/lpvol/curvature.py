@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DomainError
 from .exactvol import PBallSpec, _pnorm
+from .logspace import exp_checked
 from .roots import solve_increasing
 from .specfun import kappa
 from .symfun import batched_loo_log
@@ -79,14 +80,6 @@ def boundary_point(spec: PBallSpec, x: Sequence[float]) -> BoundaryPoint:
     if not (math.isfinite(gauge) and gauge > 0.0):
         raise DegenerateInput("cannot lift the zero vector to the boundary")
     return BoundaryPoint(spec, v / gauge)
-
-
-def _exp(log_value: float, what: str) -> float:
-    """e^log_value, or DegenerateInput when that overflows a double."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DegenerateInput(f"{what} is beyond the double range") from None
 
 
 def _curvature_data(pt: BoundaryPoint):
@@ -160,9 +153,9 @@ def sigma_curvatures(pt: BoundaryPoint, m: int) -> float:
     with np.errstate(divide="ignore"):
         log_sum = float(batched_loo_log(
             np.zeros((1, n)), np.log(w)[None], np.log(c)[None], m)[0])
-    return _exp((m - 1) * math.log(pt.spec.p - 1.0)
-                - (m + 1) * math.log(s) + log_sum,
-                f"sigma_{m - 1} of the curvatures")
+    return exp_checked((m - 1) * math.log(pt.spec.p - 1.0)
+                       - (m + 1) * math.log(s) + log_sum,
+                       f"sigma_{m - 1} of the curvatures", DegenerateInput)
 
 
 def gauss_curvature(pt: BoundaryPoint) -> float:
@@ -175,7 +168,7 @@ def gauss_curvature(pt: BoundaryPoint) -> float:
     with np.errstate(divide="ignore"):   # an underflowed w_j gives 0
         log_val = ((n - 1) * math.log(pt.spec.p - 1.0)
                    + float(np.sum(np.log(w))) - (n + 1) * math.log(s))
-    return _exp(log_val, "the Gauss curvature")
+    return exp_checked(log_val, "the Gauss curvature", DegenerateInput)
 
 
 def curvature_density(pt: BoundaryPoint, m: int) -> float:

@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, OverflowGuard
-from .logspace import LogValue, log_add
+from .errors import DomainError
+from .logspace import LogValue, exp_checked
 from .quadrature import log_theta_integral
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_interp,
                       kappa, log_choose, log_kappa)
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# the weights every operation supports.  Below the lower end a_k^2 is a
+# subnormal that loses precision (11 bits left at a_k = 1e-160) and then
+# 0; at the upper end theta a_k^2 stays finite on every theta mesh, which
+# ends below 3e73 (240 octaves from 8 in log_theta_integral)
+_WEIGHT_RANGE = (1e-154, 1e100)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +61,7 @@ class PBallSpec:
 
     The body is { x in R^n : sum_i |a_i x_i|^p <= 1 }; weight a_i scales
     coordinate i, so larger weights mean a thinner body along that axis.
+    Each weight must lie in [1e-154, 1e100].
     """
 
     p: float
@@ -68,8 +74,10 @@ class PBallSpec:
             raise DomainError("weights must be a one-dimensional sequence")
         if len(w) < 2:
             raise DomainError("need dimension n >= 2")
-        if not np.all(np.isfinite(w) & (w > 0.0)):
-            raise DomainError("weights must be finite and positive")
+        lo, hi = _WEIGHT_RANGE
+        # nan fails both comparisons
+        if not np.all((w >= lo) & (w <= hi)):
+            raise DomainError(f"weights must lie in [{lo:g}, {hi:g}]")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -163,11 +171,6 @@ class IntrinsicVolumeResult:
     theta_nodes: int
     est_rel_error: float
 
-    def __post_init__(self):
-        if self.value.sign != 1:
-            raise OverflowGuard(
-                "intrinsic volumes are positive; integration lost the sign")
-
 
 def volume(spec: PBallSpec) -> LogValue:
     """Exact volume: (2 Gamma(1+1/p))^n / (Gamma(1+n/p) prod a_i)."""
@@ -193,7 +196,7 @@ def _with_f_error(log_int: float, log_err: float, log_f_err: float
     expm1(log_f_err) relative, and so is its integral."""
     if log_f_err <= 0.0:
         return log_err
-    return log_add(log_err, log_int + math.log(math.expm1(log_f_err)))
+    return np.logaddexp(log_err, log_int + math.log(math.expm1(log_f_err)))
 
 
 def intrinsic_volumes(spec: PBallSpec, js: Sequence[int],
@@ -345,9 +348,10 @@ def _moment_log(spec: PBallSpec, req: MomentRequest, cfg: QuadConfig):
 def mixed_moment(spec: PBallSpec, request: MomentRequest,
                  cfg: QuadConfig = None) -> float:
     """Boundary mixed moment: the local-parallel-volume coefficient of
-    order codim, weighted by prod_k |x_k|^lambda_k over the boundary."""
+    order codim, weighted by prod_k |x_k|^lambda_k over the boundary.
+    DomainError when it overflows a double (mixed_moment_log does not)."""
     log_val, _, _ = _moment_log(spec, request, _cfg(cfg))
-    return math.exp(log_val)
+    return exp_checked(log_val, "the mixed moment")
 
 
 def mixed_moment_log(spec: PBallSpec, request: MomentRequest,
@@ -365,10 +369,11 @@ def surface_moment(spec: PBallSpec, lambdas: Sequence[float] = (),
     prod_k F(theta a_k^2; lambda_k), integration by parts turns the
     surface integral of (G(0) - G(theta)) theta^(-3/2) into
     2 int theta^(-1/2) (-G'(theta)), and -G' is the m = 1 leave-one-out
-    sum of the moment integrand, under the same prefactor.
+    sum of the moment integrand, under the same prefactor.  DomainError
+    when it overflows a double.
     """
     log_val, _, _ = _moment_log(spec, MomentRequest(1, lambdas), _cfg(cfg))
-    return 2.0 * math.exp(log_val)
+    return exp_checked(math.log(2.0) + log_val, "the surface moment")
 
 
 def key_integral(spec: PBallSpec, alpha: float,
@@ -380,7 +385,8 @@ def key_integral(spec: PBallSpec, alpha: float,
         d theta  /  (Gamma(alpha/2) Gamma(mu) prod a_k^(alpha_k + 1) / p)
 
     with mu = (n + sum alpha_k - alpha (p-1)) / p, convergent exactly when
-    0 < alpha < sum_k (alpha_k + 1) / (p - 1).
+    0 < alpha < sum_k (alpha_k + 1) / (p - 1).  DomainError when it
+    overflows a double.
     """
     cfg = _cfg(cfg)
     p, n = spec.p, spec.n
@@ -405,7 +411,7 @@ def key_integral(spec: PBallSpec, alpha: float,
         np.array([s_tail]), cfg)
     log_pre = (math.log(p) - math.lgamma(mu) - math.lgamma(0.5 * alpha)
                - float(((al + 1.0) * np.log(spec.weights)).sum()))
-    return math.exp(log_pre + float(log_int[0]))
+    return exp_checked(log_pre + float(log_int[0]), "the key integral")
 
 
 def kubota_projection_factor(n: int, j: int) -> float:

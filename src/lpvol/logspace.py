@@ -1,10 +1,13 @@
-"""Log-space sums and the sign/log-magnitude result type.
+"""Log-space sums, the positive log-magnitude type and the one overflow
+rule.
 
 Quantities in this package routinely have magnitudes like exp(+-1e4)
-(products of hundreds of special-function values), so results are
-carried as a sign and the log of the absolute value (LogValue), and
-sums of such terms use the standard max-subtraction trick (log_add,
-logsumexp_arr) so that no intermediate exponential under- or overflows.
+(products of hundreds of special-function values), and all of them are
+positive, so results are carried as the log of their value (LogValue),
+and sums of such terms use the standard max-subtraction trick
+(logsumexp_arr) so that no intermediate exponential under- or
+overflows.  A log becomes a float through exp_checked, which raises a
+typed error naming the quantity when the value overflows a double.
 """
 
 from __future__ import annotations
@@ -17,16 +20,17 @@ import numpy as np
 from .errors import DomainError, OverflowGuard
 
 LOG_ZERO = float("-inf")
+# e^x is a finite double exactly when x <= _LOG_MAX
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; either argument may be -inf."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def exp_checked(log_value: float, what: str, error=DomainError) -> float:
+    """e^log_value as a float, or error naming what when that overflows
+    a double (or log_value is nan).  An underflow gives 0.0, as math.exp
+    does."""
+    if not log_value <= _LOG_MAX:
+        raise error(f"{what} is e^{log_value:.6g}, beyond the double range")
+    return math.exp(log_value)
 
 
 def logsumexp_arr(values, axis=None):
@@ -56,54 +60,31 @@ def logsumexp_arr(values, axis=None):
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number stored as (sign, log|x|).
+    """A positive real number stored as log_abs, the log of its value,
+    which must be finite.
 
-    sign is -1, 0 or +1; sign 0 pairs with log_abs = -inf and represents an
-    exact zero.  Values far outside the range of a double keep their log
-    exactly; value and log10 convert on demand.
+    Values far outside the range of a double keep their log exactly;
+    value and log10 convert on demand.
     """
 
-    sign: int
     log_abs: float
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0 and self.log_abs != LOG_ZERO:
-            raise DomainError("zero LogValue must carry log_abs = -inf")
-        if self.sign != 0 and (math.isnan(self.log_abs)
-                               or self.log_abs == LOG_ZERO):
-            raise OverflowGuard(
-                f"nonzero LogValue with log_abs={self.log_abs}")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(0, LOG_ZERO)
+        if not math.isfinite(self.log_abs):
+            raise OverflowGuard(f"LogValue with log_abs={self.log_abs}")
 
     @classmethod
     def one(cls) -> "LogValue":
-        return cls(1, 0.0)
+        return cls(0.0)
 
     @classmethod
-    def from_log(cls, log_abs: float, sign: int = 1) -> "LogValue":
-        if log_abs == LOG_ZERO:
-            return cls.zero()
-        return cls(sign, log_abs)
-
-    # -- conversions -------------------------------------------------------
+    def from_log(cls, log_abs: float) -> "LogValue":
+        return cls(log_abs)
 
     @property
     def value(self) -> float:
-        """Float value; overflows to +-inf, underflows to 0 silently."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            mag = math.exp(self.log_abs)
-        except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+        """Float value; overflows to inf, underflows to 0 silently."""
+        return math.exp(self.log_abs) if self.log_abs <= _LOG_MAX else math.inf
 
     def log10(self) -> float:
         return self.log_abs / math.log(10.0)

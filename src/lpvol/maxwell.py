@@ -24,7 +24,6 @@ Kolmogorov-Smirnov distance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .exactvol import (MomentRequest, PBallSpec, _moment_log,
                        intrinsic_volume)
+from .logspace import exp_checked
 from .rng import standard_exponential, stream
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_gamma)
@@ -47,17 +47,6 @@ __all__ = [
 ]
 
 _BATCH = 1 << 14
-# a value whose log lies beyond this is outside the double range
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _checked_log(log_value: float, what: str) -> float:
-    """log_value, or DomainError when e^log_value overflows or underflows
-    a double, checked before anything is exponentiated."""
-    if not abs(log_value) < _LOG_MAX:
-        raise DomainError(f"{what} is e^{log_value:.6g}, outside the "
-                          f"double range")
-    return log_value
 
 
 def lambda0(p) -> float:
@@ -148,8 +137,8 @@ def limit_density(law: LimitLaw, u) -> np.ndarray:
 def limit_moment(law: LimitLaw, lam: float, cfg: QuadConfig = None) -> float:
     """E |xi|^lam, lam >= 0: a gamma ratio at the edges, a ratio of
     F-table values in the bulk, numerator and normalisers from one row
-    at theta*, so E|xi|^0 = 1 exactly.  DomainError when the moment lies
-    outside the double range.
+    at theta*, so E|xi|^0 = 1 exactly.  DomainError when the moment
+    overflows a double.
     """
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 0.0):
@@ -157,21 +146,20 @@ def limit_moment(law: LimitLaw, lam: float, cfg: QuadConfig = None) -> float:
     p = law.p
     what = f"E|xi|^{lam:g} of the {law.regime} law at p={p:g}"
     if law.regime == "right":
-        return math.exp(_checked_log(
-            log_gamma((lam + 1.0) / p) - log_gamma(1.0 / p), what))
+        return exp_checked(
+            log_gamma((lam + 1.0) / p) - log_gamma(1.0 / p), what)
     if law.regime == "left":
         lam0 = lambda0(p)
         s = (lam + p - 1.0) / (2.0 * p - 2.0)
-        return math.exp(_checked_log(
+        return exp_checked(
             log_gamma(s) - 0.5 * math.log(math.pi)
-            - lam / (2.0 * p - 2.0) * math.log(lam0), what))
+            - lam / (2.0 * p - 2.0) * math.log(lam0), what)
     log_i, log_j, log_a, log_b = f_family_log_table(
         p, [law.phase_point.theta_star], [0.0, p - 2.0, lam, lam + p - 2.0],
         cfg)[0]
     # each ratio is a moment of a probability law, so neither underflows
-    return (law.alpha * math.exp(_checked_log(float(log_a - log_i), what))
-            + (1.0 - law.alpha) * math.exp(
-                _checked_log(float(log_b - log_j), what)))
+    return (law.alpha * exp_checked(float(log_a - log_i), what)
+            + (1.0 - law.alpha) * exp_checked(float(log_b - log_j), what))
 
 
 def _moment_ratio_log(p, n: int, j: int, lambdas: Sequence[float],
@@ -201,11 +189,11 @@ def finite_n_moment_ratio(p, n: int, j: int, lambdas: Sequence[float],
     unit ball: E prod_k |X_k|^lambda_k under the normalized j-face
     measure.  With scaled=True the value is premultiplied by
     n^(sum(lambdas)/p), the scaling under which it converges.
-    DomainError when the value lies outside the double range.
+    DomainError when the value overflows a double.
     """
     log_ratio = _moment_ratio_log(p, n, j, lambdas, cfg, scaled)[0]
-    return math.exp(_checked_log(
-        log_ratio, f"the moment for lambda={list(lambdas)} at n={n}"))
+    return exp_checked(log_ratio,
+                       f"the moment for lambda={list(lambdas)} at n={n}")
 
 
 class ConvergenceRow(NamedTuple):
@@ -225,8 +213,7 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
     The face index follows the regime: floor(alpha n) in the bulk, the
     given fixed j at the left edge, n - m at the right edge.  The limit
     is prod_k scale^lambda_k E|xi|^lambda_k for the matching law.
-    DomainError when the limit or a row's moment lies outside the double
-    range.
+    DomainError when the limit or a row's moment overflows a double.
     """
     lambdas = [float(v) for v in lambdas]
     if regime == "bulk":
@@ -249,15 +236,16 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
         moment = limit_moment(law, lam, cfg)
         log_power = lam * math.log(law.scale)
         log_limit += log_power + math.log(moment)
-        _checked_log(max(log_power, log_limit), what)
+        # neither the power nor the running product may overflow
+        exp_checked(max(log_power, log_limit), what)
         limit *= law.scale ** lam * moment
     rows = []
     for n in n_list:
         n = int(n)
         jn = face_index(regime, n, alpha=alpha, j=j, m=m)
         log_val, err = _moment_ratio_log(p, n, jn, lambdas, cfg, True)
-        val = math.exp(_checked_log(
-            log_val, f"the scaled moment for lambda={lambdas} at n={n}"))
+        val = exp_checked(
+            log_val, f"the scaled moment for lambda={lambdas} at n={n}")
         rows.append(ConvergenceRow(n, val, limit,
                                    abs(val - limit) / abs(limit), err))
     return rows

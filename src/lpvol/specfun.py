@@ -14,9 +14,9 @@ nu = 0, p-2, 2p-2, 3p-4.  Closed forms used throughout:
 Numerics: for t < 1 the integrand is evaluated directly; for t >= 1 the
 substitution u = t^(-1/(2p-2)) z turns the integral into t^(-s) times a
 bounded-kernel integral, so t up to 1e20 stays in range for p from 1.001
-to 64.  Many components (several t rows times several nu columns) are
-integrated on one shared adaptive grid.  Both ends of the u-axis are
-handled by closed forms:
+to 64.  Exponents above 1e5 are refused (see _P_MAX).  Many components
+(several t rows times several nu columns) are integrated on one shared
+adaptive grid.  Both ends of the u-axis are handled by closed forms:
 
 - Left end.  Exponents nu in (-1, 0) have an integrable singularity at
   u = 0.  Every row coefficient is at most 1, so below
@@ -40,8 +40,10 @@ upper limit.  When that limit exceeds the split point by more than a
 factor 1e4, the piece above the split is integrated in y = log z instead,
 each (t, nu) component over its own window around the peak of its
 concave log-integrand, and kept in log form, since the value can exceed
-a double.  Each log value comes with a bound on its error, from the GK
-error estimates of its pieces.
+a double.  That piece is also taken in log z at large p (kernel exponent
+2p - 2 above 1024), where the kernel drops from 1 to 0 within about 1/p
+of u = 1, too narrow for a linear-u rule to find.  Each log value comes
+with a bound on its error, from the GK error estimates of its pieces.
 
 No caller runs that table per value.  Every one reads F from
 f_family_log_interp (f_family_log_table, f_family and ijkl return its
@@ -79,11 +81,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
+from .logspace import exp_checked
 from .quadrature import quad_gk
 from .roots import solve_increasing
 
 __all__ = [
-    "QuadConfig", "DEFAULT_CONFIG", "PExponent", "as_exponent",
+    "QuadConfig", "DEFAULT_CONFIG", "as_exponent",
     "f_family", "f_family_log", "f_family_log_table", "f_family_log_interp",
     "ijkl", "IJKL",
     "f_family_at_zero", "f_family_at_zero_log",
@@ -123,25 +126,12 @@ def _cfg(cfg):
     return DEFAULT_CONFIG if cfg is None else cfg
 
 
-@dataclass(frozen=True)
-class PExponent:
-    """A validated ball exponent, strictly above 1 and finite."""
-
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not (math.isfinite(p) and p > 1.0):
-            raise DomainError(
-                f"exponent must be finite and > 1, got {self.p!r}")
-        object.__setattr__(self, "p", p)
-
-
 def as_exponent(p) -> float:
-    """Coerce a float or PExponent to a validated float exponent."""
-    if isinstance(p, PExponent):
-        return p.p
-    return PExponent(float(p)).p
+    """p as a validated float exponent, strictly above 1 and finite."""
+    p = float(p)
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"exponent must be finite and > 1, got {p!r}")
+    return p
 
 
 def log_gamma(x) -> float:
@@ -245,6 +235,15 @@ def _log_upper_limit(cs, e_c, e_1, nus):
 
 # log of the largest ratio u_hi / split integrated on a linear u scale
 _LOG_WIDE_SPAN = math.log(1e4)
+# largest kernel exponent integrated on a linear u scale: exp(-u^e) falls
+# from 1 to 0 within about 1/e of u = 1, and above this e that drop is
+# narrower than the node spacing of the first GK15 panel on [split, u_hi]
+# (about 2e-3), which can then read ~0 at every node and stop
+_LINEAR_MAX_EXPONENT = 1024.0
+# largest p the table resolves.  From p = 5e5 on the log-u piece misses
+# the same drop at the end of the nu = 0 window: log F(0; 0) is 8e-6 off
+# there, against a bound of 4e-8, while p = 3e5 is within 1e-15
+_P_MAX = 1e5
 # where [0, inf) is cut: for nu < 0 the piece below it, with the u^nu
 # endpoint singularity, is integrated in log u
 _SPLIT = 0.5
@@ -326,7 +325,8 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     GK error estimates of the pieces.  All rows and columns share one
     adaptive grid per piece.  When the upper limit exceeds the split
     point by more than exp(_LOG_WIDE_SPAN), or u^nu would overflow there,
-    the piece above the split is integrated in log u by _log_u_piece.
+    or a kernel exponent exceeds _LINEAR_MAX_EXPONENT, the piece above
+    the split is integrated in log u by _log_u_piece.
     """
     cs = np.asarray(cs, dtype=float)
     log_cs = np.asarray(log_cs, dtype=float)
@@ -362,8 +362,10 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     log_wide = None
     y_split = math.log(_SPLIT)
     # the linear-u piece forms u^nu as a double: once nu log u_hi nears
-    # the overflow point it goes to the log-u piece as well
-    if log_hi - y_split <= _LOG_WIDE_SPAN and nus.max() * log_hi < 700.0:
+    # the overflow point it goes to the log-u piece as well, and so does a
+    # kernel whose drop is too narrow for it (large p)
+    if (log_hi - y_split <= _LOG_WIDE_SPAN and nus.max() * log_hi < 700.0
+            and max(e_c, e_1) <= _LINEAR_MAX_EXPONENT):
         add_direct(np.arange(m), _SPLIT, math.exp(min(log_hi, 700.0)))
     else:
         log_wide, rel_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split,
@@ -644,6 +646,9 @@ def f_family_log_interp(p, ts, nus, cfg=None):
     """
     cfg = _cfg(cfg)
     p = as_exponent(p)
+    if p > _P_MAX:
+        raise DomainError(f"exponent p={p:g} is above {_P_MAX:g}, the "
+                          f"largest the F-family table resolves")
     ts = np.asarray(ts, dtype=float)
     nus = np.asarray(nus, dtype=float)
     _check_args(ts, nus)
@@ -662,9 +667,10 @@ def f_family_log(p, t, nu, cfg=None) -> float:
 
 
 def f_family(p, t, nu, cfg=None) -> float:
-    """F_p(t; nu) for scalar arguments (may overflow for nu near -1 only
-    in pathological configs; the log variant never does)."""
-    return math.exp(f_family_log(p, t, nu, cfg))
+    """F_p(t; nu) for scalar arguments; DomainError where it overflows a
+    double, at large nu and small t (the log variant never does)."""
+    return exp_checked(f_family_log(p, t, nu, cfg),
+                       f"F_p(t; nu) at p={p}, t={t}, nu={nu}")
 
 
 class IJKL(NamedTuple):
@@ -694,7 +700,9 @@ def f_family_at_zero_log(p, nu) -> float:
 
 
 def f_family_at_zero(p, nu) -> float:
-    return math.exp(f_family_at_zero_log(p, nu))
+    """F_p(0; nu); DomainError where it overflows a double."""
+    return exp_checked(f_family_at_zero_log(p, nu),
+                       f"F_p(0; nu) at p={p}, nu={nu}")
 
 
 def f_family_large_t(p, nu) -> "LargeTAsymptote":
@@ -708,12 +716,9 @@ def f_family_large_t(p, nu) -> "LargeTAsymptote":
         raise DomainError(f"nu must exceed -1, got {nu}")
     s = (nu + 1.0) / (2.0 * p - 2.0)
     step = p / (2.0 * p - 2.0)
-    try:
-        gamma_factor = math.exp(math.lgamma(s) - math.log(p - 1.0))
-        ratio = math.exp(math.lgamma(s + step) - math.lgamma(s))
-    except OverflowError:
-        raise DomainError(f"large-t asymptote of F_p(t; nu) at p={p:g}, "
-                          f"nu={nu:g} overflows a double") from None
+    what = f"the large-t asymptote of F_p(t; nu) at p={p:g}, nu={nu:g}"
+    gamma_factor = exp_checked(math.lgamma(s) - math.log(p - 1.0), what)
+    ratio = exp_checked(math.lgamma(s + step) - math.lgamma(s), what)
     return LargeTAsymptote(decay=s, gamma_factor=gamma_factor,
                            correction_ratio=ratio, correction_step=step)
 

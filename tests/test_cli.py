@@ -134,6 +134,49 @@ class TestIntrinsicCommand:
             single = intrinsic_volume(spec, j, cfg)
             assert abs(value - single.value.value) <= value * err, j
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, want", [
+        ("1e100,1,1", 0), ("1e-154,1,1", 0),
+        ("1e150,1,1", 2), ("1e160,1,1", 2), ("1e-300,1,1", 2),
+    ])
+    def test_extreme_weights_give_values_or_exit_two(self, capsys, weights,
+                                                     want):
+        # theta a^2 (1e150), a^2 (1e160) or log a^2 (1e-300) once left
+        # the double range: a numpy warning, an error in this test, or
+        # the F-table's internal t-argument check
+        rc, out, err = run(capsys, [
+            "intrinsic", "-p", "3", "-n", "3", "--all",
+            "--weights", weights, "--format", "json",
+        ])
+        assert rc == want, err
+        if rc == 2:
+            assert "weights must lie in [1e-154, 1e+100]" in err
+        else:
+            assert all(isinstance(row[1], float) and row[1] > 0.0
+                       for row in json.loads(out)["rows"])
+
+    def test_large_exponent_volumes_rise_to_the_cube(self, capsys):
+        # V_1 of the unit p-ball in R^5 rises to the cube's 2n = 10 as
+        # 10 - c/p; from p ~ 1.6e4 on the F-table once missed its
+        # kernel's drop at u = 1 and printed V_1 = 7.2e-77 with exit 0
+        deficits = []
+        for p in ("1e4", "2e4", "1e5"):
+            rc, out, err = run(capsys, [
+                "intrinsic", "-p", p, "-n", "5", "-j", "1", "--format", "json",
+            ])
+            assert rc == 0, err
+            ((_, v1, _, rel),) = json.loads(out)["rows"]
+            assert v1 < 10.0 and rel < 1e-8
+            deficits.append(float(p) * (10.0 - v1))
+        assert max(deficits) / min(deficits) - 1.0 < 1e-3
+
+    def test_exponent_beyond_the_table_is_two(self, capsys):
+        rc, out, err = run(capsys, [
+            "intrinsic", "-p", "2e5", "-n", "5", "-j", "1",
+        ])
+        assert rc == 2 and out == ""
+        assert "F-family table" in err
+
     def test_weight_length_mismatch(self, capsys):
         rc, _, err = run(capsys, [
             "intrinsic", "-p", "2", "-n", "3", "-j", "1", "--weights", "1,2",

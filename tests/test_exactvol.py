@@ -29,6 +29,16 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             PBallSpec(p=1.0, weights=(1.0, 1.0))
 
+    @pytest.mark.parametrize("w", [1e101, 1e160, 1e-155, 1e-300, math.nan])
+    def test_weights_outside_the_supported_range(self, w):
+        # a_k^2 or theta a_k^2 leaves the double range beyond its ends
+        with pytest.raises(DomainError, match=r"\[1e-154, 1e\+100\]"):
+            PBallSpec(p=3.0, weights=(w, 1.0, 1.0))
+
+    @pytest.mark.parametrize("w", [1e100, 1e-154])
+    def test_both_ends_of_the_weight_range_are_accepted(self, w):
+        assert PBallSpec(p=3.0, weights=(w, 1.0, 1.0)).weights[0] == w
+
     def test_gauge_and_unit_flag(self):
         spec = PBallSpec(p=3.0, weights=(1.0, 2.0))
         assert spec.gauge([0.5, 0.25]) == pytest.approx(0.25, rel=1e-15)
@@ -289,6 +299,27 @@ class TestKeyIntegral:
             key_integral(spec, 1.0, (0.0, 0.0, 0.0), cfg)
         with pytest.raises(DomainError, match="exceed -1"):
             key_integral(spec, 1.0, (-1.0,), cfg)
+
+
+class TestDoubleRange:
+    """Float results beyond a double are a DomainError naming the
+    quantity; their logs are about 1271 to 1294 on this body."""
+
+    SPEC = dict(p=3.0, weights=[1e-3] * 200)
+
+    @pytest.mark.parametrize("call", [
+        surface_moment,
+        lambda spec: mixed_moment(spec, MomentRequest(3)),
+        lambda spec: key_integral(spec, 1.0),
+    ], ids=["surface_moment", "mixed_moment", "key_integral"])
+    def test_overflow_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="double range"):
+            call(PBallSpec(**self.SPEC))
+
+    def test_log_variant_stays_finite(self):
+        log_val = mixed_moment_log(PBallSpec(**self.SPEC),
+                                   MomentRequest(3)).log_abs
+        assert 1200.0 < log_val < 1300.0
 
 
 class TestProjections:

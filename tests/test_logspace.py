@@ -1,4 +1,5 @@
-"""logsumexp_arr against scipy.special.logsumexp: the same bits.
+"""logsumexp_arr against scipy.special.logsumexp: the same bits, and
+the positive log type and overflow rule of logspace.
 
 The GK log engine and the leave-one-out sums call logsumexp_arr, so any
 bit it changed would change printed values.  It computes scipy's
@@ -6,11 +7,14 @@ real-input formula with numpy alone; these checks hold it to scipy's
 output bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from lpvol.logspace import LOG_ZERO, logsumexp_arr
+from lpvol.errors import DegenerateInput, DomainError, OverflowGuard
+from lpvol.logspace import LOG_ZERO, LogValue, exp_checked, logsumexp_arr
 
 
 def assert_same_bits(got, want):
@@ -85,3 +89,41 @@ class TestEmpty:
 
     def test_no_rows(self):
         assert logsumexp_arr(np.empty((0, 4)), axis=1).shape == (0,)
+
+
+class TestLogValue:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_is_refused(self, bad):
+        with pytest.raises(OverflowGuard):
+            LogValue.from_log(bad)
+
+    def test_value_overflows_to_inf_and_underflows_to_zero(self):
+        assert LogValue.from_log(1000.0).value == math.inf
+        assert LogValue.from_log(-1000.0).value == 0.0
+        assert LogValue.one().value == 1.0
+        assert LogValue.from_log(3.0 * math.log(10.0)).log10() == \
+            pytest.approx(3.0, rel=1e-15)
+
+
+# e^LOG_MAX is the largest double
+LOG_MAX = math.log(np.finfo(float).max)
+
+
+class TestExpChecked:
+    def test_in_range_values_are_math_exp(self):
+        for x in (-700.0, -1.5, 0.0, 2.5, LOG_MAX):
+            assert exp_checked(x, "x") == math.exp(x)
+
+    def test_underflow_gives_zero(self):
+        assert exp_checked(-800.0, "x") == 0.0
+        assert exp_checked(-math.inf, "x") == 0.0
+
+    @pytest.mark.parametrize("bad", [
+        math.nextafter(LOG_MAX, math.inf), 1e4, math.inf, math.nan])
+    def test_overflow_names_the_quantity(self, bad):
+        with pytest.raises(DomainError, match="the thing is e.*double range"):
+            exp_checked(bad, "the thing")
+
+    def test_error_class(self):
+        with pytest.raises(DegenerateInput, match="double range"):
+            exp_checked(1e4, "the thing", DegenerateInput)

@@ -12,8 +12,8 @@ from lpvol.asymptotics import exp_profile
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, intrinsic_volume
 from lpvol.maxwell import LimitLaw, limit_moment
-from lpvol.specfun import (_DEGREE, DEFAULT_CONFIG, IJKL, PExponent,
-                           QuadConfig, _direct_log_table, _interpolant,
+from lpvol.specfun import (_DEGREE, DEFAULT_CONFIG, IJKL, QuadConfig,
+                           _direct_log_table, _interpolant,
                            _LogFInterpolant, _log_upper_limit, _tail_cutoff,
                            as_exponent, f_family, f_family_at_zero,
                            f_family_at_zero_log, f_family_large_t,
@@ -58,7 +58,6 @@ LOG_F_EVALUATORS = (f_family_log, direct_log)
 class TestExponent:
     def test_accepts_reals_above_one(self):
         assert as_exponent(1.5) == 1.5
-        assert as_exponent(PExponent(3.0)) == 3.0
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, math.nan, math.inf])
     def test_rejects_out_of_range(self, bad):
@@ -213,6 +212,34 @@ class TestLargeTOverflow:
                                              - math.log(p - 1.0))
         assert asym.correction_ratio == math.exp(math.lgamma(s + step)
                                                  - math.lgamma(s))
+
+
+class TestOverflow:
+    # log F(0; 2000) at p = 1.5 is lgamma(1334) + log(4/3), about 8250
+    def test_f_family_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="double range"):
+            f_family(1.5, 0.0, 2000.0)
+
+    def test_f_family_at_zero_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="double range"):
+            f_family_at_zero(1.5, 2000.0)
+
+
+class TestLargeExponent:
+    @pytest.mark.parametrize("p", [2e4, 1e5])
+    def test_values_at_zero_within_their_bounds(self, p):
+        # the kernel drops from 1 to 0 within about 1/p of u = 1; a
+        # linear-u rule once missed that drop and read log F(0; p-2) at
+        # p = 2e4 as -43.7 (exact -9.21) with a bound of 6.7
+        nus = [0.0, p - 2.0, 2.0 * p - 2.0]
+        vals, bounds = f_family_log_interp(p, [0.0], nus)
+        for nu, val, bound in zip(nus, vals[0], bounds):
+            assert bound < 1e-9
+            assert abs(val - f_family_at_zero_log(p, nu)) <= bound
+
+    def test_exponents_the_table_cannot_resolve_are_refused(self):
+        with pytest.raises(DomainError, match="F-family table"):
+            f_family_log_interp(2e5, [0.0], [0.0])
 
 
 class TestNearOne:
