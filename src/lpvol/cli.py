@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -53,7 +53,7 @@ from .curvature import (boundary_point, curvature_density, gauss_curvature,
                         support_function)
 from .maxwell import convergence_table
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
@@ -63,37 +63,23 @@ SCHEMA_VERSION = 1
 _SOLVER_ERR = 1e-12
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance embedded in every output: enough to re-run it."""
-
-    command: str
-    parameters: dict
-    config: dict
-    seed: object
-    version: str
-
-
 def _manifest(command: str, parameters: dict, cfg: QuadConfig,
-              seed=None) -> RunManifest:
-    return RunManifest(command, parameters, asdict(cfg), seed, __version__)
+              seed=None) -> dict:
+    """Provenance embedded in every output: enough to re-run it."""
+    return {"command": command, "parameters": parameters,
+            "config": asdict(cfg), "seed": seed, "version": __version__}
 
 
 # -- argument helpers ------------------------------------------------------
 
-def _float_list(text: str, flag: str) -> list:
+def _float_list(text: str, flag: str, kind=float) -> list:
+    """Comma-separated values of flag, each parsed by kind (float or
+    int)."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise DomainError(f"{flag} expects a comma-separated number list, "
-                          f"got {text!r}")
-
-
-def _int_list(text: str, flag: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise DomainError(f"{flag} expects a comma-separated integer list, "
+        noun = "integer" if kind is int else "number"
+        raise DomainError(f"{flag} expects a comma-separated {noun} list, "
                           f"got {text!r}")
 
 
@@ -174,10 +160,9 @@ def _csv_cell(v):
     return str(v)
 
 
-def _emit(args, manifest: RunManifest, columns, rows) -> None:
-    mdict = asdict(manifest)
+def _emit(args, manifest: dict, columns, rows) -> None:
     if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "manifest": mdict,
+        doc = {"schema_version": SCHEMA_VERSION, "manifest": manifest,
                "columns": list(columns),
                "rows": [[_jsonable(v) for v in row] for row in rows]}
         text = json.dumps(doc, sort_keys=True,
@@ -185,7 +170,7 @@ def _emit(args, manifest: RunManifest, columns, rows) -> None:
     else:
         buf = io.StringIO()
         buf.write("# manifest=" + json.dumps(
-            {"schema_version": SCHEMA_VERSION, **mdict},
+            {"schema_version": SCHEMA_VERSION, **manifest},
             sort_keys=True, separators=(",", ":")) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -243,16 +228,19 @@ def cmd_intrinsic(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     cfg = _load_config(args.config)
-    ns = _int_list(args.n, "--n")
+    ns = _float_list(args.n, "--n", int)
     p = args.p
     kw = _regime_arg(args)
     params = {"p": p, "regime": args.regime, "n": ns, **kw}
+    # the bulk law needs a face on each side of j
+    lo = 1 if args.regime == "bulk" else 0
 
     def checked_index(n):
         j = face_index(args.regime, n, **kw)
-        if args.regime == "bulk" and not 1 <= j <= n - 1:
-            raise DomainError(f"alpha={args.alpha} gives j={j} "
-                              f"outside 1..{n - 1} at n={n}")
+        if not lo <= j <= n - 1:
+            (flag, value), = kw.items()
+            raise DomainError(f"--{flag} {value} gives j={j} "
+                              f"outside {lo}..{n - 1} at n={n}")
         return j
 
     def row(n):
@@ -347,7 +335,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_maxwell(args) -> int:
     cfg = _load_config(args.config)
-    ns = _int_list(args.n, "--n")
+    ns = _float_list(args.n, "--n", int)
     lambdas = _float_list(args.lambdas, "--lambda")
     kw = _regime_arg(args)
     params = {"p": args.p, "regime": args.regime, "lambda": lambdas,
@@ -388,70 +376,62 @@ def _suite_steiner(checks, cfg, seed):
     return out
 
 
+def _worst_check(label, devs, bound, what="rel dev"):
+    """One suite check: it passes when the largest of the deviations is
+    at most bound (a nan deviation fails it)."""
+    worst = float(np.max(devs))
+    return label, worst <= bound, f"worst {what} {worst:.2e}"
+
+
 def _suite_ball(cfg, seed):
-    out = []
-    worst = 0.0
+    devs = []
     for n in (2, 4, 6):
-        spec = PBallSpec.unit(2.0, n)
-        for res in intrinsic_volumes(spec, range(n + 1), cfg):
-            got = res.value.value
+        for res in intrinsic_volumes(PBallSpec.unit(2.0, n), range(n + 1),
+                                     cfg):
             ref = oracles.ball_vj(n, res.j)
-            worst = max(worst, abs(got - ref) / ref)
-    out.append(("round-ball volumes vs closed form, n <= 6",
-                worst <= 1e-8, f"worst rel dev {worst:.2e}"))
-    return out
+            devs.append(abs(res.value.value - ref) / ref)
+    return [_worst_check("round-ball volumes vs closed form, n <= 6", devs,
+                         1e-8)]
 
 
 def _suite_ellipsoid(cfg, seed):
-    out = []
     w = (1.0, 2.0, 4.0)
     spec = PBallSpec(p=2.0, weights=w)
     semi = [1.0 / a for a in w]
-    worst = 0.0
+    devs = []
     for j in (1, 2):
         got = intrinsic_volume(spec, j, cfg).value.value
         for form in ("A", "B"):
             ref = oracles.ellipsoid_vj(semi, j, cfg, form=form)
-            worst = max(worst, abs(got - ref) / ref)
-    out.append(("ellipsoid volumes vs both single-integral forms",
-                worst <= 1e-7, f"worst rel dev {worst:.2e}"))
-    return out
+            devs.append(abs(got - ref) / ref)
+    return [_worst_check("ellipsoid volumes vs both single-integral forms",
+                         devs, 1e-7)]
 
 
 def _suite_phase(cfg, seed):
-    out = []
-    worst = 0.0
+    devs = []
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        pt = phase_maximizer(2.0, beta, cfg)
         ref = (1.0 - beta) / beta
-        worst = max(worst, abs(pt.theta_star - ref) / ref)
-    out.append(("p=2 phase maximizer vs (1-beta)/beta",
-                worst <= 1e-10, f"worst rel dev {worst:.2e}"))
-    worst = 0.0
-    for p in (1.2, 5.0):
-        for beta in (0.2, 0.8):
-            worst = max(worst, phase_maximizer(p, beta, cfg).residual)
-    out.append(("stationarity residual at general p",
-                worst <= 1e-10, f"worst residual {worst:.2e}"))
-    return out
+        devs.append(abs(phase_maximizer(2.0, beta, cfg).theta_star - ref)
+                    / ref)
+    residuals = [phase_maximizer(p, beta, cfg).residual
+                 for p in (1.2, 5.0) for beta in (0.2, 0.8)]
+    return [_worst_check("p=2 phase maximizer vs (1-beta)/beta", devs, 1e-10),
+            _worst_check("stationarity residual at general p", residuals,
+                         1e-10, "residual")]
 
 
 def _suite_profile(cfg, seed):
-    out = []
-    worst = 0.0
-    for k in range(21):
-        alpha = min(1.0, 0.05 * k)
-        got = exp_profile(2.0, alpha, cfg).g_value
-        ref = profile_references(alpha).g_2
-        worst = max(worst, abs(got - ref))
-    out.append(("p=2 profile vs closed form on 0.05 grid",
-                worst <= 1e-8, f"worst abs dev {worst:.2e}"))
+    alphas = [min(1.0, 0.05 * k) for k in range(21)]
+    devs = [abs(exp_profile(2.0, a, cfg).g_value
+                - profile_references(a).g_2) for a in alphas]
     got = exp_profile(3.0, 1.0, cfg).g_value
     ref = math.log(2.0 * (3.0 * math.e) ** (1.0 / 3.0)
                    * math.gamma(4.0 / 3.0))
-    out.append(("g_p(1) closed form at p=3",
-                abs(got - ref) <= 1e-10, f"dev {abs(got - ref):.2e}"))
-    return out
+    return [_worst_check("p=2 profile vs closed form on 0.05 grid", devs,
+                         1e-8, "abs dev"),
+            ("g_p(1) closed form at p=3", abs(got - ref) <= 1e-10,
+             f"dev {abs(got - ref):.2e}")]
 
 
 _SUITES = {
@@ -494,6 +474,18 @@ def _add_common(sp):
                     help="key=value file overriding quadrature defaults")
 
 
+def _add_regime_args(sp, regimes):
+    """-p, --regime, the list of n, the flag that fixes the face index in
+    each regime, and the common flags."""
+    sp.add_argument("-p", type=float, required=True)
+    sp.add_argument("--regime", required=True, choices=regimes)
+    sp.add_argument("--n", required=True, metavar="N1,N2,..")
+    sp.add_argument("--alpha", type=float, help="bulk: j = floor(alpha n)")
+    sp.add_argument("--j", type=int, help="left: fixed index")
+    sp.add_argument("--m", type=int, help="right: codimension, j = n - m")
+    _add_common(sp)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lpvol",
@@ -514,14 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("asymptotic",
                         help="exact vs asymptotic volumes across n")
-    sp.add_argument("-p", type=float, required=True)
-    sp.add_argument("--regime", required=True,
-                    choices=("bulk", "left", "right", "surface"))
-    sp.add_argument("--n", required=True, metavar="N1,N2,..")
-    sp.add_argument("--alpha", type=float, help="bulk: j = floor(alpha n)")
-    sp.add_argument("--j", type=int, help="left: fixed index")
-    sp.add_argument("--m", type=int, help="right: codimension, j = n - m")
-    _add_common(sp)
+    _add_regime_args(sp, ("bulk", "left", "right", "surface"))
     sp.set_defaults(func=cmd_asymptotic)
 
     sp = sub.add_parser("profile",
@@ -549,16 +534,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("maxwell",
                         help="scaled moments vs limit-law values")
-    sp.add_argument("-p", type=float, required=True)
-    sp.add_argument("--regime", required=True,
-                    choices=("bulk", "left", "right"))
+    _add_regime_args(sp, ("bulk", "left", "right"))
     sp.add_argument("--lambda", dest="lambdas", required=True,
                     metavar="L1,L2,..", help="moment exponents")
-    sp.add_argument("--n", required=True, metavar="N1,N2,..")
-    sp.add_argument("--alpha", type=float, help="bulk: j = floor(alpha n)")
-    sp.add_argument("--j", type=int, help="left: fixed index")
-    sp.add_argument("--m", type=int, help="right: codimension, j = n - m")
-    _add_common(sp)
     sp.set_defaults(func=cmd_maxwell)
 
     sp = sub.add_parser("validate", help="run self-check suites")

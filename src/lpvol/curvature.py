@@ -107,16 +107,24 @@ def _curvature_data(pt: BoundaryPoint):
 
 
 def principal_curvatures(pt: BoundaryPoint) -> np.ndarray:
-    """The n-1 principal curvatures, ascending.
+    """The n-1 principal curvatures, ascending, each accurate relative to
+    its own size.
 
     They are mu/S for the n-1 roots mu of the secular equation
     sum_i c_i prod_(j != i) (d_j - mu) = 0 with d_j = (p-1) w_j: one
     root inside each gap between consecutive distinct d values, plus a
     root of multiplicity k-1 at every k-fold d (k where every c of that d
     underflowed to 0: no pole then).  In each gap the rational
-    form sum c_i/(d_i - mu) is increasing, with derivative
-    sum c_i/(d_i - mu)^2, and spans -inf..+inf; one solve_increasing
-    call finds the roots of all gaps at once.
+    form sum c_i/(d_i - mu) is increasing and spans -inf..+inf; its sign
+    at the midpoint tells which pole d_q the root is nearer.  The root is
+    solved as mu = d_q + side delta (side = +1 above the lower pole, -1
+    below the upper one) for log delta, with the form evaluated from the
+    differences d_i - d_q, so a root next to a small pole keeps its
+    digits however large the next pole is.  side times the form is
+    increasing in log delta, with derivative delta sum c_i/(d_i - mu)^2,
+    and delta lies between c_q / (2 sum c_i/|d_i - d_q|), summed over
+    the poles on the far side of the midpoint, and half the gap.  One
+    solve_increasing call finds the roots of all gaps at once.
     """
     c, w, s = _curvature_data(pt)
     d = (pt.spec.p - 1.0) * w
@@ -126,13 +134,25 @@ def principal_curvatures(pt: BoundaryPoint) -> np.ndarray:
     pole = weight > 0.0
     counts = np.bincount(inv, minlength=uniq.shape[0]) - pole
     poles, weight = uniq[pole], weight[pole]
+    half = 0.5 * np.diff(poles)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_mid = (weight / (poles - (poles[:-1] + half)[:, None])).sum(axis=1)
+        side = np.where(at_mid > 0.0, 1.0, -1.0)
+        q = np.arange(half.shape[0]) + (side < 0.0)
+        diff = poles - poles[q][:, None]        # 0 exactly at i = q
+        far = np.where(side[:, None] * diff > 0.0,
+                       weight / np.abs(diff), 0.0).sum(axis=1)
+        # floored at the smallest positive double
+        delta_lo = np.maximum(weight[q] / (2.0 * far), 5e-324)
 
-    def secular(mu):
-        r = 1.0 / (poles[None, :] - mu[:, None])
-        return r @ weight, (r * r) @ weight
+        def secular(v):
+            delta = np.exp(v)
+            r = 1.0 / (diff - (side * delta)[:, None])
+            return side * (r @ weight), (delta[:, None] * r * r) @ weight
 
-    with np.errstate(divide="ignore"):
-        gaps = solve_increasing(secular, poles[:-1], poles[1:])
+        hi = np.log(half)
+        v = solve_increasing(secular, np.minimum(np.log(delta_lo), hi), hi)
+    gaps = poles[q] + side * np.exp(v)
     return np.sort(np.concatenate([np.repeat(uniq, counts), gaps])) / s
 
 

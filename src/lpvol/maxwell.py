@@ -33,7 +33,7 @@ from .errors import DomainError
 from .exactvol import (MomentRequest, PBallSpec, _moment_log,
                        intrinsic_volume)
 from .logspace import exp_checked
-from .rng import standard_exponential, stream
+from .rng import batches, standard_exponential
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_gamma)
 from .asymptotics import PhasePoint, face_index, phase_maximizer
@@ -51,11 +51,15 @@ _BATCH = 1 << 14
 
 def lambda0(p) -> float:
     """Left-edge decay constant (p Gamma((2p-1)/(2p-2)) / sqrt(pi))
-    raised to 2(p-1)/p; equals 1 at p = 2."""
+    raised to 2(p-1)/p; equals 1 at p = 2.  Formed as one log: the gamma
+    value alone overflows a double for p below about 1.002, where lambda0
+    is still near 1/(2e(p-1))."""
     p = as_exponent(p)
-    base = p * math.exp(log_gamma((2.0 * p - 1.0) / (2.0 * p - 2.0))
-                        - 0.5 * math.log(math.pi))
-    return base ** (2.0 * (p - 1.0) / p)
+    return exp_checked(
+        2.0 * (p - 1.0) / p
+        * (math.log(p) + log_gamma((2.0 * p - 1.0) / (2.0 * p - 2.0))
+           - 0.5 * math.log(math.pi)),
+        f"lambda0 at p={p:g}")
 
 
 @dataclass(frozen=True)
@@ -230,15 +234,10 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
         law = LimitLaw.right_edge(p)
     else:
         raise DomainError(f"unknown regime {regime!r}")
-    what = f"the limit for lambda={lambdas}"
-    limit, log_limit = 1.0, 0.0
-    for lam in lambdas:
-        moment = limit_moment(law, lam, cfg)
-        log_power = lam * math.log(law.scale)
-        log_limit += log_power + math.log(moment)
-        # neither the power nor the running product may overflow
-        exp_checked(max(log_power, log_limit), what)
-        limit *= law.scale ** lam * moment
+    limit = exp_checked(
+        sum(lam * math.log(law.scale) + math.log(limit_moment(law, lam, cfg))
+            for lam in lambdas),
+        f"the limit for lambda={lambdas}")
     rows = []
     for n in n_list:
         n = int(n)
@@ -274,17 +273,11 @@ class EmpiricalSample:
 def _skeleton_batches(n: int, j_specials: int, count: int, seed: int):
     """Yield (generator, boolean mask of the special coordinates) in
     fixed batches; draw order inside a batch is subset keys first."""
-    done, chunk = 0, 0
-    while done < count:
-        k = min(_BATCH, count - done)
-        gen = stream(seed, chunk)
-        chunk += 1
-        keys = gen.random((k, n))
-        order = np.argsort(keys, axis=1)
+    for gen, k in batches(seed, count, _BATCH):
+        order = np.argsort(gen.random((k, n)), axis=1)
         mask = np.zeros((k, n), dtype=bool)
         np.put_along_axis(mask, order[:, :j_specials], True, axis=1)
         yield gen, mask
-        done += k
 
 
 def sample_cube_skeleton(n: int, j: int, count: int, seed: int, *,
@@ -301,16 +294,14 @@ def sample_cube_skeleton(n: int, j: int, count: int, seed: int, *,
         raise DomainError(f"skeleton index j={j} outside 0..{n}")
     if count < 1 or not 1 <= r <= n:
         raise DomainError("need count >= 1 and 1 <= r <= n")
-    out = np.empty((count, r))
-    done = 0
+    out = []
     for gen, free in _skeleton_batches(n, j, count, seed):
         k = free.shape[0]
         u = 2.0 * gen.random((k, n)) - 1.0
         signs = (2.0 * gen.integers(0, 2, size=(k, n)) - 1.0).astype(float)
-        x = np.where(free, u, signs)
-        out[done:done + k] = x[:, :r]
-        done += k
-    return EmpiricalSample(out, seed, f"cube-skeleton n={n} j={j}")
+        out.append(np.where(free, u, signs)[:, :r])
+    return EmpiricalSample(np.concatenate(out), seed,
+                           f"cube-skeleton n={n} j={j}")
 
 
 def sample_crosspolytope_skeleton(n: int, j: int, count: int, seed: int, *,
@@ -328,18 +319,16 @@ def sample_crosspolytope_skeleton(n: int, j: int, count: int, seed: int, *,
         raise DomainError(f"skeleton index j={j} outside 0..{n - 1}")
     if count < 1 or not 1 <= r <= n:
         raise DomainError("need count >= 1 and 1 <= r <= n")
-    out = np.empty((count, r))
-    done = 0
+    out = []
     for gen, support in _skeleton_batches(n, j + 1, count, seed):
         k = support.shape[0]
         e = standard_exponential(gen, (k, n))
         signs = (2.0 * gen.integers(0, 2, size=(k, n)) - 1.0).astype(float)
         esel = np.where(support, e, 0.0)
         total = esel.sum(axis=1, keepdims=True)
-        x = n * signs * esel / total
-        out[done:done + k] = x[:, :r]
-        done += k
-    return EmpiricalSample(out, seed, f"crosspolytope-skeleton n={n} j={j}")
+        out.append((n * signs * esel / total)[:, :r])
+    return EmpiricalSample(np.concatenate(out), seed,
+                           f"crosspolytope-skeleton n={n} j={j}")
 
 
 def kolmogorov_distance(values, cdf: Callable[[np.ndarray], np.ndarray],

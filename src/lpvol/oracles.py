@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConvergenceFailure, DomainError
 from .exactvol import PBallSpec, _pnorm
 from .roots import solve_increasing, walk_bracket
-from .rng import stream
+from .rng import batches
 from .specfun import QuadConfig, kappa, log_choose, log_kappa
 from .symfun import elementary_symmetric
 
@@ -370,15 +370,9 @@ def steiner_mc_volume(spec: PBallSpec, t: float,
     box_vol = float(np.prod(2.0 * half))
     total = mc.sample_count
     hits = 0
-    done = 0
-    chunk = 0
-    while done < total:
-        size = min(_BATCH, total - done)
-        gen = stream(mc.seed, chunk)
+    for gen, size in batches(mc.seed, total, _BATCH):
         pts = (2.0 * gen.random((size, spec.n)) - 1.0) * half[None, :]
         hits += int(np.count_nonzero(_offset_contains(spec, pts, t)))
-        done += size
-        chunk += 1
     rate = hits / total
     estimate = box_vol * rate
     std_err = box_vol * math.sqrt(max(rate * (1.0 - rate), 0.0) / total)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["stream", "standard_exponential"]
+__all__ = ["stream", "batches", "standard_exponential"]
 
 
 def stream(seed: int, chunk: int = 0) -> np.random.Generator:
@@ -22,6 +22,14 @@ def stream(seed: int, chunk: int = 0) -> np.random.Generator:
     if seed < 0 or chunk < 0:
         raise DomainError("seed and chunk must be nonnegative integers")
     return np.random.Generator(np.random.Philox(key=(seed, chunk)))
+
+
+def batches(seed: int, count: int, size: int):
+    """Split count draws into batches of at most size: yield
+    (stream(seed, b), draws of batch b) for b = 0, 1, ..., so batch b
+    always draws from the same substream."""
+    for b, done in enumerate(range(0, count, size)):
+        yield stream(seed, b), min(size, count - done)
 
 
 def standard_exponential(gen: np.random.Generator, shape) -> np.ndarray:

@@ -355,6 +355,47 @@ class TestAsymptoticCommand:
         assert rc == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--regime", "right", "--m", "30"], "--m"),
+        (["--regime", "left", "--j", "30"], "--j"),
+    ])
+    def test_edge_index_checked_before_any_row(self, capsys, monkeypatch,
+                                               argv, flag):
+        # j = n - m = -10 and j = 30 lie outside 0..19 at n = 20; the
+        # valid row n = 40 must not be computed first
+        computed = []
+        monkeypatch.setattr(cli, "intrinsic_volume",
+                            lambda *a: computed.append(a))
+        rc, out, err = run(capsys, ["asymptotic", "-p", "3", *argv,
+                                    "--n", "40,20"])
+        assert rc == 2 and out == "" and computed == []
+        assert err.startswith("error: ") and flag in err
+        assert "outside 0..19 at n=20" in err
+
+    def test_right_regime_ratio_approaches_one(self, capsys):
+        rc, out, _ = run(capsys, [
+            "asymptotic", "-p", "3", "--regime", "right", "--m", "3",
+            "--n", "20,40,80", "--format", "json",
+        ])
+        assert rc == 0
+        ratios = [row[3] for row in json.loads(out)["rows"]]
+        assert ratios[0] < ratios[1] < ratios[2] < 1.0
+        # 1 - ratio is O(1/n): about halved by each doubling of n
+        for a, b in zip(ratios, ratios[1:]):
+            assert 0.4 < (1.0 - b) / (1.0 - a) < 0.6
+
+    @pytest.mark.parametrize("argv, message", [
+        (["asymptotic", "-p", "2", "--regime", "surface", "--n", "20,x"],
+         "--n expects a comma-separated integer list"),
+        (["maxwell", "-p", "2", "--regime", "right", "--m", "1",
+          "--lambda", "2,y", "--n", "20"],
+         "--lambda expects a comma-separated number list"),
+    ])
+    def test_bad_list_is_two(self, capsys, argv, message):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert message in err
+
 
 class TestProfileCommand:
     def test_round_ball_matches_reference_column(self, capsys):
@@ -376,6 +417,18 @@ class TestProfileCommand:
         rc, _, err = run(capsys, ["profile", "-p", "3", "--alphas", "5e-324"])
         assert rc == 3
         assert "Traceback" not in err
+
+    def test_grid_rows_match_reference_column(self, capsys):
+        rc, out, _ = run(capsys, [
+            "profile", "-p", "2", "--grid", "0.25", "--format", "json",
+        ])
+        assert rc == 0
+        doc = json.loads(out)
+        cols = doc["columns"]
+        assert [row[0] for row in doc["rows"]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for row in doc["rows"]:
+            assert row[cols.index("g_value")] == pytest.approx(
+                row[cols.index("g_2")], abs=1e-8)
 
     def test_grid_step_validated(self, capsys):
         rc, _, err = run(capsys, ["profile", "-p", "2", "--grid", "0.7"])
@@ -487,6 +540,24 @@ class TestMaxwellCommand:
         (n0, *_, gap0, _), (n1, *_, gap1, _) = json.loads(out)["rows"]
         assert (n0, n1) == (512, 1000)
         assert 0.0 < gap1 < gap0
+
+    def test_left_edge_near_p_one(self, capsys):
+        # the gamma value inside lambda0 overflowed a double here; lambda0
+        # itself is about 184
+        rc, out, err = run(capsys, [
+            "maxwell", "-p", "1.001", "--regime", "left", "--j", "2",
+            "--lambda", "2", "--n", "64", "--format", "json",
+        ])
+        assert rc == 0, err
+        (row,) = json.loads(out)["rows"]
+        assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for v in row)
+        rc, out, err = run(capsys, [
+            "maxwell", "-p", "1.001", "--regime", "left", "--j", "2",
+            "--lambda", "3", "--n", "64",
+        ])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "double range" in err
 
     @pytest.mark.parametrize("argv", [
         ["-p", "3", "--regime", "right", "--m", "3", "--lambda", "1000"],

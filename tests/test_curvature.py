@@ -172,6 +172,25 @@ class TestSecularAndVieta:
             )
             assert abs(resid) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("p, v, weights", [
+        (50.0, [0.5, 1.0], None),
+        (400.0, [0.01, 0.02, 0.03], None),
+        (1.5, [0.3, -1.2, 0.7, 2.0], (1.0, 2.0, 0.5, 1.5)),
+        (3.0, [0.3, -1.2, 0.7, 2.0], (1.0, 2.0, 0.5, 1.5)),
+    ])
+    def test_roots_accurate_relative_to_their_size(self, p, v, weights):
+        # a root next to a small pole once carried an absolute error of
+        # 4 ulp of the largest pole: 25% at p = 50, and a product 1e55
+        # times the Gauss curvature at p = 400
+        spec = (PBallSpec(p, weights) if weights
+                else PBallSpec.unit(p, len(v)))
+        pt = boundary_point(spec, v)
+        k = principal_curvatures(pt)
+        assert float(np.prod(k)) == pytest.approx(gauss_curvature(pt),
+                                                  rel=1e-12, abs=0.0)
+        assert float(k.sum()) == pytest.approx(sigma_curvatures(pt, 2),
+                                               rel=1e-12, abs=0.0)
+
     def test_repeated_directions(self, rng):
         # equal weights and mirrored coordinates force d multiplicities
         spec = PBallSpec(3.0, (1.0, 1.0, 2.0, 2.0))
@@ -376,9 +395,8 @@ class TestLargeExponent:
         k = principal_curvatures(pt)
         assert k.shape == (n - 1,) and np.all(np.isfinite(k))
         assert np.all(k >= 0.0) and np.all(np.diff(k) >= 0.0)
-        # the roots are resolved to 4 ulp of the largest d, which the
-        # CLI's absolute error column (1e-12) covers
-        assert abs(k.sum() - sigma_curvatures(pt, 2)) <= 1e-12
+        assert k.sum() == pytest.approx(sigma_curvatures(pt, 2), rel=1e-12,
+                                        abs=0.0)
 
     def test_curvature_beyond_the_double_range_is_degenerate(self):
         # near the axes at p near 1 the w_i grow like |x_i|^(p-2)

@@ -46,6 +46,11 @@ class TestLambda0:
         with pytest.raises(DomainError):
             lambda0(1.0)
 
+    def test_near_one_is_finite(self):
+        # Gamma((2p-1)/(2p-2)) alone is beyond the double range here,
+        # while lambda0 tends to 1/(2e(p-1)) as p -> 1
+        assert lambda0(1.001) == pytest.approx(500.0 / math.e, rel=0.01)
+
 
 class TestLimitLawConstruction:
     def test_bulk_factory(self):

@@ -24,7 +24,7 @@ from lpvol.oracles import (
     project_lp_ball,
     steiner_mc_volume,
 )
-from lpvol.rng import stream
+from lpvol.rng import batches, stream
 from lpvol.symfun import elementary_symmetric
 
 from .reference import ball_volume
@@ -431,6 +431,12 @@ class TestSteinerMonteCarlo:
             ball_volume(3 - j) * t ** (3 - j) * cube_vj(3, j) for j in range(4)
         )
         assert abs(est - cube) <= 3.0 * se + 1e-3 * cube
+
+    def test_batches_split_the_count_over_fixed_substreams(self):
+        split = list(batches(3, 10, 4))
+        assert [k for _, k in split] == [4, 4, 2]
+        for b, (gen, _) in enumerate(split):
+            assert gen.random() == stream(3, b).random()
 
     def test_zero_growth_recovers_volume(self):
         disk = PBallSpec(2.0, (1.0, 1.0))

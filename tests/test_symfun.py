@@ -285,3 +285,40 @@ class TestHeterogeneousFactors:
             # log S within 1e-10: S within 1e-10 relative
             np.testing.assert_allclose(got, [row[m] for row in want],
                                        rtol=0.0, atol=1e-10)
+
+
+def _recurrence_log(logv, logu, logw, counts, m):
+    """log [s^1 z^(m-1)] of prod_r (v_r + z u_r + s w_r) by the plain
+    recurrence: one factor at a time, the s^0 and s^1 parts carried as
+    logs of their coefficients of z^0..z^(m-1)."""
+    part0 = np.full(m, -np.inf)
+    part0[0] = 0.0
+    part1 = np.full(m, -np.inf)
+    for lv, lu, lw, k in zip(logv, logu, logw, counts):
+        for _ in range(k):
+            up0 = np.concatenate([[-np.inf], part0[:-1] + lu])
+            up1 = np.concatenate([[-np.inf], part1[:-1] + lu])
+            part1 = np.logaddexp(np.logaddexp(part1 + lv, up1), part0 + lw)
+            part0 = np.logaddexp(part0 + lv, up0)
+    return part1[-1]
+
+
+class TestEdgeSweep:
+    """Seeded edge inputs against the plain recurrence: 1-6 groups of up
+    to 40 factors, log factors N(0, sigma^2), and m at 1, at n and in
+    between."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 100.0, 300.0])
+    def test_matches_the_plain_recurrence(self, sigma):
+        rng = np.random.default_rng(int(sigma))
+        worst = 0.0
+        for case in range(75):
+            groups = int(rng.integers(1, 7))
+            counts = rng.integers(1, 41, size=groups)
+            n = int(counts.sum())
+            m = (1, n, int(rng.integers(1, n + 1)))[case % 3]
+            logs = rng.normal(0.0, sigma, size=(3, groups))
+            got = float(batched_loo_log(*logs[:, None, :], m, counts)[0])
+            ref = _recurrence_log(*logs, counts, m)
+            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+        assert worst <= 1e-10
