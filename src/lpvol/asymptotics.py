@@ -33,7 +33,7 @@ __all__ = [
     "PhasePoint", "ProfilePoint", "ProfileReferences",
     "phase", "phase_maximizer", "phase_second_derivative",
     "bulk_asymptotic", "left_edge_asymptotic", "right_edge_asymptotic",
-    "exp_profile", "face_index", "profile_references",
+    "exp_profile", "face_index", "REGIME_PARAMETER", "profile_references",
     "surface_area_asymptotic",
 ]
 
@@ -108,10 +108,11 @@ class ProfileReferences(NamedTuple):
 
 
 def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not (math.isfinite(beta) and 0.0 < beta < 1.0):
+    # None (a missing alpha) is refused like any other value outside (0, 1)
+    if not (isinstance(beta, (int, float, np.number))
+            and math.isfinite(beta) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must be in (0, 1), got {beta!r}")
-    return beta
+    return float(beta)
 
 
 def phase(p, beta, theta, cfg: QuadConfig = None) -> float:
@@ -236,18 +237,41 @@ def bulk_asymptotic(p, n, j, cfg: QuadConfig = None) -> LogValue:
                              + log_width)
 
 
+# the parameter that fixes the face index in each regime, also the name
+# of its command-line flag; the surface regime follows j = n - 1
+REGIME_PARAMETER = {"bulk": "alpha", "left": "j", "right": "m",
+                    "surface": None}
+
+
 def face_index(regime: str, n: int, *, alpha: float = None, j: int = None,
                m: int = None) -> int:
     """Index j of the intrinsic volume that row n of a regime follows:
     floor(alpha n) in the bulk, the fixed j at the left edge, n - m at
-    the right edge.  Callers check the index against their own range."""
+    the right edge, n - 1 on the surface.  DomainError, naming the flag
+    and n, for an unknown regime, a missing parameter, n < 2, or j
+    outside 0..n-1 (1..n-1 in the bulk: a face on each side of j)."""
+    if regime not in REGIME_PARAMETER:
+        raise DomainError(f"unknown regime {regime!r}")
+    flag = REGIME_PARAMETER[regime]
+    value = {"alpha": alpha, "j": j, "m": m}.get(flag)
+    if flag is not None and value is None:
+        raise DomainError(f"{regime} regime needs --{flag}")
+    n = int(n)
+    if n < 2:
+        raise DomainError(f"need dimension n >= 2, got n={n}")
     if regime == "bulk":
-        return int(math.floor(alpha * n))
-    if regime == "left":
-        return int(j)
-    if regime == "right":
-        return int(n) - int(m)
-    raise DomainError(f"unknown regime {regime!r}")
+        index = int(math.floor(alpha * n))
+    elif regime == "left":
+        index = int(j)
+    elif regime == "right":
+        index = n - int(m)
+    else:
+        index = n - 1
+    lo = 1 if regime == "bulk" else 0
+    if not lo <= index <= n - 1:
+        raise DomainError(f"--{flag} {value} gives j={index} "
+                          f"outside {lo}..{n - 1} at n={n}")
+    return index
 
 
 def _left_edge_log(p, n, j) -> float:

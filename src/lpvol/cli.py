@@ -44,10 +44,10 @@ from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volumes,
                        steiner_polynomial)
 from . import oracles
 from .oracles import McConfig, steiner_mc_volume
-from .asymptotics import (_left_edge_log, bulk_asymptotic, exp_profile,
-                          face_index, phase_maximizer,
-                          profile_references, right_edge_asymptotic,
-                          surface_area_asymptotic)
+from .asymptotics import (REGIME_PARAMETER, _left_edge_log,
+                          bulk_asymptotic, exp_profile, face_index,
+                          phase_maximizer, profile_references,
+                          right_edge_asymptotic, surface_area_asymptotic)
 from .curvature import (boundary_point, curvature_density, gauss_curvature,
                         gauss_map, principal_curvatures, sigma_curvatures,
                         support_function)
@@ -93,16 +93,10 @@ def _weights_arg(text: str) -> list:
 
 
 def _regime_arg(args) -> dict:
-    """{flag: value} of the flag that fixes the face index in args.regime:
-    --alpha in the bulk, --j at the left edge, --m at the right edge;
-    {} for the surface regime."""
-    flag = {"bulk": "alpha", "left": "j", "right": "m"}.get(args.regime)
-    if flag is None:
-        return {}
-    value = getattr(args, flag)
-    if value is None:
-        raise DomainError(f"{args.regime} regime needs --{flag}")
-    return {flag: value}
+    """{flag: value} of the flag that fixes the face index in args.regime
+    (REGIME_PARAMETER), for face_index to check; {} on the surface."""
+    flag = REGIME_PARAMETER[args.regime]
+    return {} if flag is None else {flag: getattr(args, flag)}
 
 
 def _load_config(path) -> QuadConfig:
@@ -232,41 +226,28 @@ def cmd_asymptotic(args) -> int:
     p = args.p
     kw = _regime_arg(args)
     params = {"p": p, "regime": args.regime, "n": ns, **kw}
-    # the bulk law needs a face on each side of j
-    lo = 1 if args.regime == "bulk" else 0
+    # every row's index is checked before any row is computed
+    rows_j = [(n, face_index(args.regime, n, **kw)) for n in ns]
 
-    def checked_index(n):
-        j = face_index(args.regime, n, **kw)
-        if not lo <= j <= n - 1:
-            (flag, value), = kw.items()
-            raise DomainError(f"--{flag} {value} gives j={j} "
-                              f"outside {lo}..{n - 1} at n={n}")
-        return j
-
-    def row(n):
+    def row(n_j):
+        n, j = n_j
+        res = intrinsic_volume(PBallSpec.unit(p, n), j, cfg)
+        log_exact = res.value.log_abs
         if args.regime == "surface":
             # the surface area is 2 V_(n-1)
-            res = intrinsic_volume(PBallSpec.unit(p, n), n - 1, cfg)
-            log_exact = res.value.log_abs + math.log(2.0)
+            log_exact += math.log(2.0)
             log_asym = surface_area_asymptotic(p, n).log_abs
+        elif args.regime == "bulk":
+            log_asym = bulk_asymptotic(p, n, j, cfg).log_abs
+        elif args.regime == "left":
+            log_asym = _left_edge_log(p, n, j)
         else:
-            j = checked_index(n)
-            res = intrinsic_volume(PBallSpec.unit(p, n), j, cfg)
-            log_exact = res.value.log_abs
-            if args.regime == "bulk":
-                log_asym = bulk_asymptotic(p, n, j, cfg).log_abs
-            elif args.regime == "left":
-                log_asym = _left_edge_log(p, n, j)
-            else:
-                log_asym = right_edge_asymptotic(p, n, args.m).log_abs
+            log_asym = right_edge_asymptotic(p, n, args.m).log_abs
         ln10 = math.log(10.0)
         return (n, log_exact / ln10, log_asym / ln10,
                 math.exp(log_exact - log_asym), res.est_rel_error)
 
-    if args.regime != "surface":
-        for n in ns:
-            checked_index(n)   # validate all rows before spending time
-    rows = _pmap(row, ns)
+    rows = _pmap(row, rows_j)
     _emit(args, _manifest("asymptotic", params, cfg),
           ["n", "log10_exact", "log10_asymptotic", "exact_over_asymptotic",
            "est_rel_error"], rows)

@@ -84,7 +84,8 @@ class PBallSpec:
     @classmethod
     def unit(cls, p, n: int) -> "PBallSpec":
         """The standard (all weights one) p-ball in dimension n."""
-        return cls(p=p, weights=np.ones(int(n)))
+        # a negative n gives no weights, which the dimension check refuses
+        return cls(p=p, weights=np.ones(max(int(n), 0)))
 
     @property
     def n(self) -> int:
@@ -427,12 +428,8 @@ def mean_projection_volume(spec: PBallSpec, j: int,
                            cfg: QuadConfig = None) -> float:
     """Average j-volume of the projection onto a uniform random
     j-dimensional subspace: V_j times the Kubota factor."""
-    n = spec.n
-    j = int(j)
-    if not 0 <= j <= n:
-        raise DomainError(f"projection index {j} outside 0..{n}")
     res = intrinsic_volumes(spec, [j], cfg)[0]
-    return res.value.value * kubota_projection_factor(n, j)
+    return res.value.value * kubota_projection_factor(spec.n, res.j)
 
 
 def steiner_polynomial(spec: PBallSpec, t: float,

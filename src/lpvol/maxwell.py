@@ -175,8 +175,6 @@ def _moment_ratio_log(p, n: int, j: int, lambdas: Sequence[float],
     """
     spec = PBallSpec.unit(p, int(n))
     j = int(j)
-    if not 0 <= j <= spec.n - 1:
-        raise DomainError(f"face index j={j} outside 0..{spec.n - 1}")
     req = MomentRequest(spec.n - j, lambdas)
     log_num, num_err, _ = _moment_log(spec, req, _cfg(cfg))
     den = intrinsic_volume(spec, j, cfg)
@@ -214,34 +212,24 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
                       cfg: QuadConfig = None) -> list:
     """Scaled finite-n moments against the limit, one row per n.
 
-    The face index follows the regime: floor(alpha n) in the bulk, the
-    given fixed j at the left edge, n - m at the right edge.  The limit
-    is prod_k scale^lambda_k E|xi|^lambda_k for the matching law.
+    The face index of row n is face_index(regime, n, ...): floor(alpha n)
+    in the bulk, the given fixed j at the left edge, n - m at the right
+    edge; every row's index is checked before anything is computed.  The
+    limit is prod_k scale^lambda_k E|xi|^lambda_k for the matching law.
     DomainError when the limit or a row's moment overflows a double.
     """
     lambdas = [float(v) for v in lambdas]
-    if regime == "bulk":
-        if alpha is None:
-            raise DomainError("bulk table needs alpha")
-        law = LimitLaw.bulk(p, alpha, cfg)
-    elif regime == "left":
-        if j is None:
-            raise DomainError("left-edge table needs a fixed j")
-        law = LimitLaw.left_edge(p)
-    elif regime == "right":
-        if m is None:
-            raise DomainError("right-edge table needs the codimension m")
-        law = LimitLaw.right_edge(p)
-    else:
-        raise DomainError(f"unknown regime {regime!r}")
+    # every row's index is checked before the limit or any row
+    rows_j = [(int(n), face_index(regime, n, alpha=alpha, j=j, m=m))
+              for n in n_list]
+    law = (LimitLaw.bulk(p, alpha, cfg) if regime == "bulk"
+           else LimitLaw(regime, p))
     limit = exp_checked(
         sum(lam * math.log(law.scale) + math.log(limit_moment(law, lam, cfg))
             for lam in lambdas),
         f"the limit for lambda={lambdas}")
     rows = []
-    for n in n_list:
-        n = int(n)
-        jn = face_index(regime, n, alpha=alpha, j=j, m=m)
+    for n, jn in rows_j:
         log_val, err = _moment_ratio_log(p, n, jn, lambdas, cfg, True)
         val = exp_checked(
             log_val, f"the scaled moment for lambda={lambdas} at n={n}")

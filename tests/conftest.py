@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lpvol.specfun import DEFAULT_CONFIG, QuadConfig
+
+_TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    # every warning is an error in this suite; the ini setting, which
+    # also covers the benchmark's tests, makes only RuntimeWarning one
+    for item in items:
+        if _TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from lpvol.asymptotics import (
     ProfileReferences,
     bulk_asymptotic,
     exp_profile,
+    face_index,
     left_edge_asymptotic,
     phase,
     phase_maximizer,
@@ -210,6 +211,68 @@ class TestEdgeGrowthLaws:
             right_edge_asymptotic(2.0, 10, 0)
         with pytest.raises(DomainError):
             right_edge_asymptotic(2.0, 3, 5)
+
+
+class TestFaceIndex:
+    """face_index is the one rule from a regime row to its face index."""
+
+    KW = {"bulk": {"alpha": 0.5}, "left": {"j": 2}, "right": {"m": 3},
+          "surface": {}}
+
+    @pytest.mark.parametrize("regime, n, expected", [
+        ("bulk", 21, 10), ("left", 21, 2), ("right", 21, 18),
+        ("surface", 21, 20), ("surface", 2, 1),
+    ])
+    def test_index(self, regime, n, expected):
+        assert face_index(regime, n, **self.KW[regime]) == expected
+
+    def test_unknown_regime(self):
+        with pytest.raises(DomainError, match="unknown regime 'edge'"):
+            face_index("edge", 20, m=1)
+
+    @pytest.mark.parametrize("regime, flag", [
+        ("bulk", "--alpha"), ("left", "--j"), ("right", "--m"),
+    ])
+    def test_missing_parameter(self, regime, flag):
+        # another regime's parameter does not stand in for it
+        others = {k: v for r, kw in self.KW.items() if r != regime
+                  for k, v in kw.items()}
+        with pytest.raises(DomainError,
+                           match=f"^{regime} regime needs {flag}$"):
+            face_index(regime, 20, **others)
+
+    @pytest.mark.parametrize("regime", ["bulk", "left", "right", "surface"])
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_dimension_below_two(self, regime, n):
+        with pytest.raises(DomainError, match=f"n >= 2, got n={n}$"):
+            face_index(regime, n, **self.KW[regime])
+
+    @pytest.mark.parametrize("regime, kw, n, message", [
+        ("bulk", {"alpha": 0.01}, 20, "--alpha 0.01 gives j=0 outside "
+         "1..19 at n=20"),
+        ("bulk", {"alpha": 1.0}, 20, "--alpha 1.0 gives j=20 outside "
+         "1..19 at n=20"),
+        ("bulk", {"alpha": -0.5}, 20, "--alpha -0.5 gives j=-10 outside "
+         "1..19 at n=20"),
+        ("left", {"j": -1}, 20, "--j -1 gives j=-1 outside 0..19 at n=20"),
+        ("left", {"j": 20}, 20, "--j 20 gives j=20 outside 0..19 at n=20"),
+        ("right", {"m": 0}, 20, "--m 0 gives j=20 outside 0..19 at n=20"),
+        ("right", {"m": 21}, 20, "--m 21 gives j=-1 outside 0..19 at "
+         "n=20"),
+    ])
+    def test_index_out_of_range(self, regime, kw, n, message):
+        with pytest.raises(DomainError) as exc:
+            face_index(regime, n, **kw)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("regime, kw, n, expected", [
+        ("bulk", {"alpha": 0.05}, 20, 1), ("bulk", {"alpha": 0.99}, 20, 19),
+        ("left", {"j": 0}, 20, 0), ("left", {"j": 19}, 20, 19),
+        ("right", {"m": 1}, 20, 19), ("right", {"m": 20}, 20, 0),
+        ("surface", {}, 20, 19),
+    ])
+    def test_range_ends_accepted(self, regime, kw, n, expected):
+        assert face_index(regime, n, **kw) == expected
 
 
 class TestExpProfile:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpvol import cli
+from lpvol import cli, maxwell
 from lpvol.cli import main
 from lpvol.exactvol import PBallSpec, intrinsic_volume
 
@@ -531,6 +531,25 @@ class TestMaxwellCommand:
         assert rc == 2
         assert "--j" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--regime", "left", "--j", "30", "--n", "2000,20"],
+         "--j 30 gives j=30 outside 0..19 at n=20"),
+        (["--regime", "right", "--m", "30", "--n", "40,20"],
+         "--m 30 gives j=-10 outside 0..19 at n=20"),
+        # a bulk row needs a face on each side of j = floor(alpha n)
+        (["--regime", "bulk", "--alpha", "0.01", "--n", "40,20"],
+         "--alpha 0.01 gives j=0 outside 1..39 at n=40"),
+    ])
+    def test_face_index_checked_before_any_row(self, capsys, monkeypatch,
+                                               argv, message):
+        computed = []
+        monkeypatch.setattr(maxwell, "_moment_ratio_log",
+                            lambda *a: computed.append(a) or (0.0, 0.0))
+        rc, out, err = run(capsys, ["maxwell", "-p", "1.5", "--lambda", "2",
+                                    *argv])
+        assert rc == 2 and out == "" and computed == []
+        assert err == f"error: {message}\n"
+
     def test_gap_shrinks_at_a_thousand_factors(self, capsys):
         rc, out, err = run(capsys, [
             "maxwell", "-p", "3", "--regime", "bulk", "--alpha", "0.5",
@@ -714,6 +733,19 @@ class TestExitCodes:
     def test_missing_arguments_is_two(self, capsys):
         rc, _, _ = run(capsys, [])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["intrinsic", "-p", "3", "-n", "-5", "--all"],
+        ["asymptotic", "-p", "3", "--regime", "surface", "--n", "40,-5"],
+        ["asymptotic", "-p", "3", "--regime", "left", "--j", "0",
+         "--n", "-5"],
+        ["maxwell", "-p", "3", "--regime", "bulk", "--alpha", "0.5",
+         "--lambda", "2", "--n", "-5"],
+    ])
+    def test_negative_dimension_is_two(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert "need dimension n >= 2" in err
 
     def test_bad_exponent_is_two(self, capsys):
         rc, _, err = run(capsys, [

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lpvol import maxwell
 from lpvol.errors import DomainError
 from lpvol.maxwell import (
     EmpiricalSample,
@@ -327,6 +328,33 @@ class TestConvergenceTables:
             convergence_table(2.0, "right", [2.0], [10], cfg=loose_cfg)
         with pytest.raises(DomainError):
             convergence_table(2.0, "edge", [2.0], [10], m=1, cfg=loose_cfg)
+
+
+    @pytest.mark.parametrize("regime, kw, ns, message", [
+        ("left", {"j": 30}, [2000, 20], "outside 0..19 at n=20"),
+        ("right", {"m": 30}, [40, 20], "outside 0..19 at n=20"),
+        ("bulk", {"alpha": 0.01}, [40, 20], "outside 1..39 at n=40"),
+        ("bulk", {"alpha": 0.5}, [64, 1], "n >= 2"),
+    ])
+    def test_rows_checked_before_anything_is_computed(
+            self, monkeypatch, regime, kw, ns, message):
+        # neither the limit (nor its phase point) nor any row is computed
+        # when one row's face index is out of range
+        computed = []
+
+        def record(*args, **kwargs):
+            computed.append(args)
+
+        for name in ("_moment_ratio_log", "limit_moment", "phase_maximizer"):
+            monkeypatch.setattr(maxwell, name, record)
+        with pytest.raises(DomainError, match=message):
+            convergence_table(3.0, regime, [2.0], ns, **kw)
+        assert computed == []
+
+    def test_bulk_without_alpha_is_refused_with_no_rows(self):
+        # no row asks face_index for alpha, but the bulk law needs it
+        with pytest.raises(DomainError, match="got None"):
+            convergence_table(3.0, "bulk", [2.0], [])
 
 
 class TestDoubleRange:
