@@ -248,8 +248,9 @@ def face_index(regime: str, n: int, *, alpha: float = None, j: int = None,
     """Index j of the intrinsic volume that row n of a regime follows:
     floor(alpha n) in the bulk, the fixed j at the left edge, n - m at
     the right edge, n - 1 on the surface.  DomainError, naming the flag
-    and n, for an unknown regime, a missing parameter, n < 2, or j
-    outside 0..n-1 (1..n-1 in the bulk: a face on each side of j)."""
+    and n, for an unknown regime, a missing parameter, n < 2, a bulk
+    alpha n that is not finite, or j outside 0..n-1 (1..n-1 in the
+    bulk: a face on each side of j)."""
     if regime not in REGIME_PARAMETER:
         raise DomainError(f"unknown regime {regime!r}")
     flag = REGIME_PARAMETER[regime]
@@ -260,6 +261,9 @@ def face_index(regime: str, n: int, *, alpha: float = None, j: int = None,
     if n < 2:
         raise DomainError(f"need dimension n >= 2, got n={n}")
     if regime == "bulk":
+        if not math.isfinite(alpha * n):
+            raise DomainError(f"--alpha {alpha} gives no finite face index "
+                              f"at n={n}")
         index = int(math.floor(alpha * n))
     elif regime == "left":
         index = int(j)

@@ -12,7 +12,9 @@ Output schema: JSON is canonical ({"schema_version": 1, "manifest":
 ..., "columns": [...], "rows": [[...]]}, sorted keys, no whitespace,
 non-finite numbers as null); CSV is a projection of the same rows with
 the manifest on a leading "# manifest=" comment line.  Every numeric
-row carries an estimated-error column.
+row carries an estimated-error column.  Each table command returns its
+(parameters, columns, rows) and writes nothing; main reads --config,
+writes the manifest and emits the table.
 
 Config files are key=value lines (# comments allowed) overriding the
 quadrature defaults: rel_tol, max_subdivisions.
@@ -63,24 +65,26 @@ SCHEMA_VERSION = 1
 _SOLVER_ERR = 1e-12
 
 
-def _manifest(command: str, parameters: dict, cfg: QuadConfig,
-              seed=None) -> dict:
+def _manifest(command: str, parameters: dict, cfg: QuadConfig) -> dict:
     """Provenance embedded in every output: enough to re-run it."""
     return {"command": command, "parameters": parameters,
-            "config": asdict(cfg), "seed": seed, "version": __version__}
+            "config": asdict(cfg), "seed": None, "version": __version__}
 
 
 # -- argument helpers ------------------------------------------------------
 
 def _float_list(text: str, flag: str, kind=float) -> list:
     """Comma-separated values of flag, each parsed by kind (float or
-    int)."""
+    int); DomainError when one does not parse or there are none."""
     try:
-        return [kind(v) for v in text.split(",") if v.strip() != ""]
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         noun = "integer" if kind is int else "number"
         raise DomainError(f"{flag} expects a comma-separated {noun} list, "
                           f"got {text!r}")
+    return values
 
 
 def _weights_arg(text: str) -> list:
@@ -180,19 +184,20 @@ def _emit(args, manifest: dict, columns, rows) -> None:
 
 # -- subcommands -----------------------------------------------------------
 
-def _spec_from(args) -> PBallSpec:
-    if args.weights is not None:
-        w = _weights_arg(args.weights)
-        if len(w) != args.n:
-            raise DomainError(f"-n {args.n} but --weights has {len(w)} "
-                              f"entries")
-        return PBallSpec(p=args.p, weights=w)
-    return PBallSpec.unit(args.p, args.n)
+def _spec_from(args, n: int, flag: str) -> PBallSpec:
+    """The body of -p and --weights in dimension n, which flag sets; the
+    unit ball without --weights."""
+    if args.weights is None:
+        return PBallSpec.unit(args.p, n)
+    w = _weights_arg(args.weights)
+    if len(w) != n:
+        raise DomainError(f"{flag} gives n={n} but --weights has {len(w)} "
+                          f"entries")
+    return PBallSpec(p=args.p, weights=w)
 
 
-def cmd_intrinsic(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _spec_from(args)
+def cmd_intrinsic(args, cfg) -> tuple:
+    spec = _spec_from(args, args.n, "-n")
     if args.all:
         js = list(range(spec.n + 1))
         results = intrinsic_volumes(spec, js, cfg)
@@ -210,18 +215,14 @@ def cmd_intrinsic(args) -> int:
             if 2.0 * logs[j] < logs[j - 1] + logs[j + 1] - 1e-9:
                 print(f"warning: log-concavity violated at j={j}",
                       file=sys.stderr)
-    manifest = _manifest("intrinsic",
-                         {"p": args.p, "n": spec.n, "j": js,
-                          "weights": None if spec.is_unit
-                          else list(map(float, spec.weights))}, cfg)
-    _emit(args, manifest,
-          ["j", "intrinsic_volume", "log10_intrinsic_volume",
-           "est_rel_error"], rows)
-    return 0
+    params = {"p": args.p, "n": spec.n, "j": js,
+              "weights": None if spec.is_unit
+              else list(map(float, spec.weights))}
+    return (params, ["j", "intrinsic_volume", "log10_intrinsic_volume",
+                     "est_rel_error"], rows)
 
 
-def cmd_asymptotic(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_asymptotic(args, cfg) -> tuple:
     ns = _float_list(args.n, "--n", int)
     p = args.p
     kw = _regime_arg(args)
@@ -247,15 +248,12 @@ def cmd_asymptotic(args) -> int:
         return (n, log_exact / ln10, log_asym / ln10,
                 math.exp(log_exact - log_asym), res.est_rel_error)
 
-    rows = _pmap(row, rows_j)
-    _emit(args, _manifest("asymptotic", params, cfg),
-          ["n", "log10_exact", "log10_asymptotic", "exact_over_asymptotic",
-           "est_rel_error"], rows)
-    return 0
+    return (params, ["n", "log10_exact", "log10_asymptotic",
+                     "exact_over_asymptotic", "est_rel_error"],
+            _pmap(row, rows_j))
 
 
-def cmd_profile(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_profile(args, cfg) -> tuple:
     if args.alphas is not None:
         grid = _float_list(args.alphas, "--alphas")
     else:
@@ -271,23 +269,15 @@ def cmd_profile(args) -> int:
         return (alpha, pt.g_value, pt.kappa_term, pt.sup_psi,
                 refs.g_inf, refs.g_2, refs.g_1, refs.g_simplex, _SOLVER_ERR)
 
-    rows = _pmap(row, grid)
-    _emit(args, _manifest("profile", {"p": args.p, "alpha": grid}, cfg),
-          ["alpha", "g_value", "kappa_term", "sup_psi", "g_inf", "g_2",
-           "g_1", "g_simplex", "est_error"], rows)
-    return 0
+    return ({"p": args.p, "alpha": grid},
+            ["alpha", "g_value", "kappa_term", "sup_psi", "g_inf", "g_2",
+             "g_1", "g_simplex", "est_error"], _pmap(row, grid))
 
 
-def cmd_curvature(args) -> int:
-    cfg = _load_config(args.config)
-    weights = _weights_arg(args.weights) if args.weights else None
+def cmd_curvature(args, cfg) -> tuple:
     point = _float_list(args.point, "--point")
     n = len(point)
-    if weights is not None and len(weights) != n:
-        raise DomainError(f"--point has {n} entries but --weights has "
-                          f"{len(weights)}")
-    spec = (PBallSpec(p=args.p, weights=weights) if weights
-            else PBallSpec.unit(args.p, n))
+    spec = _spec_from(args, n, "--point")
     m = args.m
     if not 1 <= m <= n:
         raise DomainError(f"--m must lie in 1..{n}, got {m}")
@@ -307,24 +297,21 @@ def cmd_curvature(args) -> int:
               ("support_at_normal", support_function(spec, normal))]
     for name, v in named:
         rows.append((name, v, _SOLVER_ERR * max(1.0, abs(v))))
-    manifest = _manifest("curvature",
-                         {"p": args.p, "weights": weights, "point": point,
-                          "m": m}, cfg)
-    _emit(args, manifest, ["quantity", "value", "est_error"], rows)
-    return 0
+    params = {"p": args.p, "point": point, "m": m,
+              "weights": None if spec.is_unit
+              else list(map(float, spec.weights))}
+    return params, ["quantity", "value", "est_error"], rows
 
 
-def cmd_maxwell(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_maxwell(args, cfg) -> tuple:
     ns = _float_list(args.n, "--n", int)
     lambdas = _float_list(args.lambdas, "--lambda")
     kw = _regime_arg(args)
     params = {"p": args.p, "regime": args.regime, "lambda": lambdas,
               "n": ns, **kw}
-    rows = convergence_table(args.p, args.regime, lambdas, ns, cfg=cfg, **kw)
-    _emit(args, _manifest("maxwell", params, cfg),
-          ["n", "scaled_moment", "limit", "rel_gap", "est_rel_error"], rows)
-    return 0
+    return (params, ["n", "scaled_moment", "limit", "rel_gap",
+                     "est_rel_error"],
+            convergence_table(args.p, args.regime, lambdas, ns, cfg=cfg, **kw))
 
 
 # -- validation suites -----------------------------------------------------
@@ -425,14 +412,13 @@ _SUITES = {
 }
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, cfg) -> int:
     if args.list:
         for name in sorted(_SUITES):
             print(name)
         return 0
     if not args.suites:
         raise DomainError("name at least one suite, or use --list")
-    cfg = _load_config(args.config)
     failures = 0
     for name in args.suites:
         if name not in _SUITES:
@@ -539,7 +525,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        cfg = _load_config(args.config)
+        if args.command == "validate":
+            code = args.func(args, cfg)
+        else:
+            params, columns, rows = args.func(args, cfg)
+            _emit(args, _manifest(args.command, params, cfg), columns, rows)
+            code = 0
     except (DomainError, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -259,6 +259,14 @@ class TestFaceIndex:
         ("right", {"m": 0}, 20, "--m 0 gives j=20 outside 0..19 at n=20"),
         ("right", {"m": 21}, 20, "--m 21 gives j=-1 outside 0..19 at "
          "n=20"),
+        ("bulk", {"alpha": math.nan}, 10, "--alpha nan gives no finite "
+         "face index at n=10"),
+        ("bulk", {"alpha": math.inf}, 10, "--alpha inf gives no finite "
+         "face index at n=10"),
+        ("bulk", {"alpha": -math.inf}, 10, "--alpha -inf gives no finite "
+         "face index at n=10"),
+        ("bulk", {"alpha": 1e308}, 10, "--alpha 1e+308 gives no finite "
+         "face index at n=10"),
     ])
     def test_index_out_of_range(self, regime, kw, n, message):
         with pytest.raises(DomainError) as exc:

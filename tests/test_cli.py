@@ -18,6 +18,7 @@ import pytest
 from lpvol import cli, maxwell
 from lpvol.cli import main
 from lpvol.exactvol import PBallSpec, intrinsic_volume
+from lpvol.specfun import DEFAULT_CONFIG
 
 
 def run(capsys, argv):
@@ -182,6 +183,34 @@ class TestIntrinsicCommand:
             "intrinsic", "-p", "2", "-n", "3", "-j", "1", "--weights", "1,2",
         ])
         assert rc == 2
+
+
+class TestCommandContract:
+    """Each table command returns (parameters, columns, rows) and writes
+    nothing; main alone writes the manifest and the table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["intrinsic", "-p", "3", "-n", "8", "--all"],
+        ["intrinsic", "-p", "1.5", "-n", "4", "-j", "2",
+         "--weights", "0.5,1.2,1.9,0.8"],
+        ["asymptotic", "-p", "1.5", "--regime", "bulk", "--alpha", "0.5",
+         "--n", "20,40"],
+        ["asymptotic", "-p", "2", "--regime", "surface", "--n", "20,40"],
+        ["profile", "-p", "3", "--grid", "0.25"],
+        ["curvature", "-p", "3", "--point", "1,2,3", "--m", "2"],
+        ["maxwell", "-p", "3", "--regime", "bulk", "--alpha", "0.5",
+         "--lambda", "2", "--n", "16,32"],
+        ["maxwell", "-p", "1.5", "--regime", "left", "--j", "2",
+         "--lambda", "2", "--n", "16,32"],
+    ])
+    def test_command_returns_its_table(self, capsys, argv):
+        args = cli._build_parser().parse_args(argv)
+        result = args.func(args, DEFAULT_CONFIG)
+        assert capsys.readouterr().out == ""
+        assert isinstance(result, tuple) and len(result) == 3
+        params, columns, rows = result
+        assert isinstance(params, dict)
+        assert rows and all(len(row) == len(columns) for row in rows)
 
 
 class TestOutputContract:
@@ -390,6 +419,15 @@ class TestAsymptoticCommand:
         (["maxwell", "-p", "2", "--regime", "right", "--m", "1",
           "--lambda", "2,y", "--n", "20"],
          "--lambda expects a comma-separated number list"),
+        # an empty list would print a header-only table or the empty
+        # product
+        (["asymptotic", "-p", "3", "--regime", "right", "--m", "1",
+          "--n", ","], "--n expects a comma-separated integer list"),
+        (["maxwell", "-p", "3", "--regime", "right", "--m", "1",
+          "--lambda", ",", "--n", "10"],
+         "--lambda expects a comma-separated number list"),
+        (["profile", "-p", "3", "--alphas", ","],
+         "--alphas expects a comma-separated number list"),
     ])
     def test_bad_list_is_two(self, capsys, argv, message):
         rc, out, err = run(capsys, argv)
@@ -463,6 +501,13 @@ class TestCurvatureCommand:
             "curvature", "-p", "2", "--point", "1,1", "--m", "3",
         ])
         assert rc == 2
+
+    def test_weight_length_mismatch(self, capsys):
+        rc, out, err = run(capsys, [
+            "curvature", "-p", "2", "--point", "1,1", "--weights", "1,2,3",
+        ])
+        assert rc == 2 and out == ""
+        assert "--point gives n=2 but --weights has 3 entries" in err
 
     @pytest.mark.parametrize("argv", [
         ["-p", "1000", "--point", "3,1"],
@@ -677,6 +722,12 @@ class TestValidateCommand:
         rc, _, err = run(capsys, ["validate"])
         assert rc == 2
 
+    def test_config_is_read_before_list(self, capsys):
+        rc, out, err = run(capsys, ["validate", "--list",
+                                    "--config", "/nonexistent"])
+        assert rc == 2 and out == ""
+        assert "cannot read config file /nonexistent" in err
+
     @pytest.mark.parametrize("seed, lines", [
         (0, ("est=12.568160 ref=12.566371 se=1.47e-02",
              "est=7.694100 ref=7.691172 se=7.09e-03",
@@ -752,3 +803,16 @@ class TestExitCodes:
             "intrinsic", "-p", "0.5", "-n", "3", "--all",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", [
+        ["asymptotic"], ["maxwell", "--lambda", "2"],
+    ])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e308"])
+    def test_bulk_alpha_without_a_finite_index_is_two(self, capsys,
+                                                      command, alpha):
+        rc, out, err = run(capsys, [
+            *command, "-p", "3", "--regime", "bulk", f"--alpha={alpha}",
+            "--n", "10",
+        ])
+        assert rc == 2 and out == ""
+        assert "gives no finite face index at n=10" in err
