@@ -21,9 +21,10 @@ from .oracles import (McConfig, ball_vj, crosspolytope_vj, cube_vj,
                       ellipsoid_vj, project_lp_ball, steiner_mc_volume)
 from .asymptotics import (PhasePoint, ProfilePoint, ProfileReferences,
                           bulk_asymptotic, exp_profile, face_index,
-                          left_edge_asymptotic, phase, phase_maximizer,
-                          phase_second_derivative, profile_references,
-                          right_edge_asymptotic, surface_area_asymptotic)
+                          growth_law, left_edge_asymptotic, phase,
+                          phase_maximizer, phase_second_derivative,
+                          profile_references, right_edge_asymptotic,
+                          surface_area_asymptotic, unit_volume_surface_area)
 from .curvature import (BoundaryPoint, boundary_point, curvature_density,
                         gauss_curvature, gauss_map, inverse_gauss_map,
                         principal_curvatures, sigma_curvatures,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
-from .logspace import LogValue, exp_checked
+from .logspace import LogValue
 from .roots import solve_increasing, walk_bracket
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
                       log_choose)
@@ -33,8 +33,9 @@ __all__ = [
     "PhasePoint", "ProfilePoint", "ProfileReferences",
     "phase", "phase_maximizer", "phase_second_derivative",
     "bulk_asymptotic", "left_edge_asymptotic", "right_edge_asymptotic",
-    "exp_profile", "face_index", "REGIME_PARAMETER", "profile_references",
-    "surface_area_asymptotic",
+    "growth_law", "exp_profile", "face_index", "REGIME_PARAMETER",
+    "profile_references", "surface_area_asymptotic",
+    "unit_volume_surface_area",
 ]
 
 _LOG2 = math.log(2.0)
@@ -273,36 +274,28 @@ def face_index(regime: str, n: int, *, alpha: float = None, j: int = None,
         index = n - 1
     lo = 1 if regime == "bulk" else 0
     if not lo <= index <= n - 1:
-        raise DomainError(f"--{flag} {value} gives j={index} "
+        # an index more than n outside the range is named without digits
+        got = f"j={index}" if lo - n <= index <= 2 * n - 1 else "j"
+        raise DomainError(f"--{flag} {value} gives {got} "
                           f"outside {lo}..{n - 1} at n={n}")
     return index
 
 
-def _left_edge_log(p, n, j) -> float:
-    """log of the fixed-j growth law of left_edge_asymptotic, which stays
-    finite where the law itself overflows a double."""
+def left_edge_asymptotic(p, n, j) -> LogValue:
+    """Fixed-j growth law: V_j ~ (c_p)^j n^(j(1-1/p)) / j! with
+
+        c_p = (2 sqrt(pi))^(1/p) (Gamma(1/(2p-2)) / (p-1))^(1-1/p).
+    """
     p = as_exponent(p)
     n = _check_dim(n)
     if not (isinstance(j, (int, np.integer)) and j >= 0):
         raise DomainError(f"left edge needs j >= 0, got {j!r}")
     j = int(j)
-    if j == 0:
-        return 0.0
     log_c = (math.log(2.0 * math.sqrt(math.pi)) / p
              + (1.0 - 1.0 / p) * (math.lgamma(1.0 / (2.0 * p - 2.0))
                                   - math.log(p - 1.0)))
-    return (-math.lgamma(j + 1.0) + j * log_c
-            + j * (1.0 - 1.0 / p) * math.log(n))
-
-
-def left_edge_asymptotic(p, n, j) -> float:
-    """Fixed-j growth law: V_j ~ (c_p)^j n^(j(1-1/p)) / j! with
-
-        c_p = (2 sqrt(pi))^(1/p) (Gamma(1/(2p-2)) / (p-1))^(1-1/p).
-
-    DomainError when the value lies beyond the double range.
-    """
-    return exp_checked(_left_edge_log(p, n, j), "the left-edge law")
+    return LogValue.from_log(-math.lgamma(j + 1.0) + j * log_c
+                             + j * (1.0 - 1.0 / p) * math.log(n))
 
 
 def right_edge_asymptotic(p, n, m) -> LogValue:
@@ -325,6 +318,19 @@ def right_edge_asymptotic(p, n, m) -> LogValue:
                + n * (_LOG2 + math.lgamma(1.0 / p) - math.log(p))
                + 0.5 * m * math.log(n) - math.lgamma((n + p - m) / p))
     return LogValue.from_log(log_val)
+
+
+def growth_law(regime: str, p, n, j, cfg: QuadConfig = None) -> LogValue:
+    """The growth law of row (n, j) of a regime: the Laplace law in the
+    bulk, the fixed-j law at the left edge, and the fixed-codimension law
+    at m = n - j at the right edge and on the surface (where m = 1)."""
+    if regime == "bulk":
+        return bulk_asymptotic(p, n, j, cfg)
+    if regime == "left":
+        return left_edge_asymptotic(p, n, j)
+    if regime in ("right", "surface"):
+        return right_edge_asymptotic(p, n, n - j)
+    raise DomainError(f"unknown regime {regime!r}")
 
 
 def exp_profile(p, alpha, cfg: QuadConfig = None) -> ProfilePoint:
@@ -415,21 +421,18 @@ def profile_references(alpha) -> ProfileReferences:
     return ProfileReferences(g_inf, g_2, g_1, g_simplex)
 
 
-def surface_area_asymptotic(p, n, normalized: bool = False):
-    """Surface-area growth law.
-
-    normalized=False: LogValue of the raw boundary measure asymptote
+def surface_area_asymptotic(p, n) -> LogValue:
+    """Surface-area growth law of the unit ball:
     (p(p-1)Gamma(1-1/p)/Gamma(1/p))^(1/2) ((2/p)Gamma(1/p))^n sqrt(n)
-    / Gamma((n+p-1)/p), computed as twice the right-edge law at m = 1.
-    normalized=True: surface area of the ball rescaled to unit volume,
-    2 e^(1/p) sqrt(pi (p-1) / (p sin(pi/p))) sqrt(n), returned as a
-    plain float.
-    """
+    / Gamma((n+p-1)/p), twice the right-edge law at m = 1."""
+    return LogValue.from_log(_LOG2 + right_edge_asymptotic(p, n, 1).log_abs)
+
+
+def unit_volume_surface_area(p, n) -> float:
+    """Surface area of the ball rescaled to unit volume, to leading
+    order: 2 e^(1/p) sqrt(pi (p-1) / (p sin(pi/p))) sqrt(n)."""
     p = as_exponent(p)
     n = _check_dim(n)
-    if normalized:
-        return (2.0 * math.exp(1.0 / p)
-                * math.sqrt(math.pi * (p - 1.0)
-                            / (p * math.sin(math.pi / p)))
-                * math.sqrt(n))
-    return LogValue.from_log(_LOG2 + right_edge_asymptotic(p, n, 1).log_abs)
+    return (2.0 * math.exp(1.0 / p)
+            * math.sqrt(math.pi * (p - 1.0) / (p * math.sin(math.pi / p)))
+            * math.sqrt(n))

@@ -46,14 +46,12 @@ from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volumes,
                        steiner_polynomial)
 from . import oracles
 from .oracles import McConfig, steiner_mc_volume
-from .asymptotics import (REGIME_PARAMETER, _left_edge_log,
-                          bulk_asymptotic, exp_profile, face_index,
-                          phase_maximizer, profile_references,
-                          right_edge_asymptotic, surface_area_asymptotic)
+from .asymptotics import (REGIME_PARAMETER, exp_profile, face_index,
+                          growth_law, phase_maximizer, profile_references)
 from .curvature import (boundary_point, curvature_density, gauss_curvature,
                         gauss_map, principal_curvatures, sigma_curvatures,
                         support_function)
-from .maxwell import convergence_table
+from .maxwell import LIMIT_REGIMES, convergence_table
 
 __all__ = ["main"]
 
@@ -234,16 +232,11 @@ def cmd_asymptotic(args, cfg) -> tuple:
         n, j = n_j
         res = intrinsic_volume(PBallSpec.unit(p, n), j, cfg)
         log_exact = res.value.log_abs
+        log_asym = growth_law(args.regime, p, n, j, cfg).log_abs
         if args.regime == "surface":
-            # the surface area is 2 V_(n-1)
+            # the surface area is 2 V_(n-1), and its law twice V_(n-1)'s
             log_exact += math.log(2.0)
-            log_asym = surface_area_asymptotic(p, n).log_abs
-        elif args.regime == "bulk":
-            log_asym = bulk_asymptotic(p, n, j, cfg).log_abs
-        elif args.regime == "left":
-            log_asym = _left_edge_log(p, n, j)
-        else:
-            log_asym = right_edge_asymptotic(p, n, args.m).log_abs
+            log_asym += math.log(2.0)
         ln10 = math.log(10.0)
         return (n, log_exact / ln10, log_asym / ln10,
                 math.exp(log_exact - log_asym), res.est_rel_error)
@@ -473,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("asymptotic",
                         help="exact vs asymptotic volumes across n")
-    _add_regime_args(sp, ("bulk", "left", "right", "surface"))
+    _add_regime_args(sp, tuple(REGIME_PARAMETER))
     sp.set_defaults(func=cmd_asymptotic)
 
     sp = sub.add_parser("profile",
@@ -501,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("maxwell",
                         help="scaled moments vs limit-law values")
-    _add_regime_args(sp, ("bulk", "left", "right"))
+    _add_regime_args(sp, LIMIT_REGIMES)
     sp.add_argument("--lambda", dest="lambdas", required=True,
                     metavar="L1,L2,..", help="moment exponents")
     sp.set_defaults(func=cmd_maxwell)

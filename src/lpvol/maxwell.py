@@ -39,7 +39,7 @@ from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
 from .asymptotics import PhasePoint, face_index, phase_maximizer
 
 __all__ = [
-    "lambda0", "LimitLaw", "limit_density", "limit_moment",
+    "lambda0", "LIMIT_REGIMES", "LimitLaw", "limit_density", "limit_moment",
     "finite_n_moment_ratio", "ConvergenceRow", "convergence_table",
     "EmpiricalSample", "sample_cube_skeleton",
     "sample_crosspolytope_skeleton",
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _BATCH = 1 << 14
+
+LIMIT_REGIMES = ("bulk", "left", "right")  # the surface has no limit law
 
 
 def lambda0(p) -> float:
@@ -79,7 +81,7 @@ class LimitLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
-        if self.regime not in ("bulk", "left", "right"):
+        if self.regime not in LIMIT_REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}")
         if self.regime == "bulk":
             if self.alpha is None or not 0.0 < self.alpha < 1.0:

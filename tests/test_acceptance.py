@@ -219,7 +219,7 @@ def test_criterion_07_edge_asymptotics_within_tolerance(loose_cfg):
     for p in (1.5, 3.0):
         exact = intrinsic_volume(PBallSpec.unit(p, 500), 1,
                                  loose_cfg).value.value
-        ratio = left_edge_asymptotic(p, 500, 1) / exact
+        ratio = left_edge_asymptotic(p, 500, 1).value / exact
         ok = ok and abs(ratio - 1.0) <= 0.05
         details.append(f"left p={p} {abs(ratio - 1.0):.4f}")
     for p in (1.5, 2.0, 3.0):
@@ -231,7 +231,7 @@ def test_criterion_07_edge_asymptotics_within_tolerance(loose_cfg):
             ok = ok and err <= 0.10
             details.append(f"right p={p} m={m} {err:.4f}")
     # round-ball cases against the exact closed forms
-    sphere_left = abs(left_edge_asymptotic(2.0, 500, 1)
+    sphere_left = abs(left_edge_asymptotic(2.0, 500, 1).value
                       / math.sqrt(2.0 * math.pi * 500.0) - 1.0)
     sphere_right = abs(math.exp(right_edge_asymptotic(2.0, 60, 1).log_abs)
                        / ball_vj(60, 59) - 1.0)

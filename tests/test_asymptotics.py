@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lpvol.asymptotics import (
+    REGIME_PARAMETER,
     PhasePoint,
     _sup_crosspolytope,
     _sup_simplex,
@@ -18,6 +19,7 @@ from lpvol.asymptotics import (
     bulk_asymptotic,
     exp_profile,
     face_index,
+    growth_law,
     left_edge_asymptotic,
     phase,
     phase_maximizer,
@@ -25,8 +27,11 @@ from lpvol.asymptotics import (
     profile_references,
     right_edge_asymptotic,
     surface_area_asymptotic,
+    unit_volume_surface_area,
 )
 from lpvol.errors import ConvergenceFailure, DomainError
+from lpvol.exactvol import PBallSpec, intrinsic_volume
+from lpvol.logspace import LogValue
 from lpvol.maxwell import lambda0
 from lpvol.oracles import ball_vj
 from lpvol.specfun import f_family_log_table
@@ -180,17 +185,17 @@ class TestBulkGrowthLaw:
 class TestEdgeGrowthLaws:
     def test_left_edge_round_ball(self):
         # V_1(B_2^n) = 2 kappa_n / kappa_(n-1) ~ sqrt(2 pi n)
-        assert left_edge_asymptotic(2.0, 50, 1) == pytest.approx(
+        assert left_edge_asymptotic(2.0, 50, 1).value == pytest.approx(
             math.sqrt(2.0 * math.pi * 50.0), rel=1e-12
         )
         errs = [
-            abs(left_edge_asymptotic(2.0, n, 2) / ball_vj(n, 2) - 1.0)
+            abs(left_edge_asymptotic(2.0, n, 2).value / ball_vj(n, 2) - 1.0)
             for n in (100, 400)
         ]
         assert errs[0] <= 0.02 and errs[1] < errs[0]
 
     def test_left_edge_euler_index(self):
-        assert left_edge_asymptotic(3.0, 17, 0) == 1.0
+        assert left_edge_asymptotic(3.0, 17, 0).value == 1.0
 
     def test_right_edge_round_ball(self):
         errs = [
@@ -203,14 +208,76 @@ class TestEdgeGrowthLaws:
     def test_validation(self):
         with pytest.raises(DomainError):
             left_edge_asymptotic(2.0, 10, -1)
-        # e^1133 is beyond the double range: a typed error, not an
-        # OverflowError
-        with pytest.raises(DomainError, match="double range"):
-            left_edge_asymptotic(3.0, 100000, 300)
+        # e^1133 is beyond the double range; its log is kept
+        assert left_edge_asymptotic(3.0, 100000, 300).log_abs == (
+            pytest.approx(1133.21, rel=1e-5))
         with pytest.raises(DomainError):
             right_edge_asymptotic(2.0, 10, 0)
         with pytest.raises(DomainError):
             right_edge_asymptotic(2.0, 3, 5)
+
+
+class TestGrowthLaw:
+    """growth_law is the one lookup from a regime row to its law."""
+
+    @pytest.mark.parametrize("regime, p, n, j, law", [
+        ("bulk", 1.5, 40, 20, lambda: bulk_asymptotic(1.5, 40, 20)),
+        ("left", 3.0, 500, 1, lambda: left_edge_asymptotic(3.0, 500, 1)),
+        ("left", 3.0, 10, 0, lambda: LogValue.one()),
+        ("right", 3.0, 80, 77, lambda: right_edge_asymptotic(3.0, 80, 3)),
+        ("surface", 1.2, 300, 299,
+         lambda: right_edge_asymptotic(1.2, 300, 1)),
+    ])
+    def test_each_regime_law_bit_for_bit(self, regime, p, n, j, law):
+        assert growth_law(regime, p, n, j) == law()
+
+    def test_surface_area_is_twice_the_surface_row(self):
+        # the asymptotic table adds log 2 to the surface row's law
+        for p, n in ((1.2, 10), (2.0, 160)):
+            row = growth_law("surface", p, n, n - 1).log_abs
+            assert row + math.log(2.0) == (
+                surface_area_asymptotic(p, n).log_abs)
+
+    def test_every_regime_has_a_law(self):
+        for regime in REGIME_PARAMETER:
+            j = face_index(regime, 20, **TestFaceIndex.KW[regime])
+            assert isinstance(growth_law(regime, 3.0, 20, j), LogValue)
+
+    def test_unknown_regime(self):
+        with pytest.raises(DomainError, match="unknown regime 'edge'"):
+            growth_law("edge", 3.0, 20, 10)
+
+
+class TestBulkLawCrossover:
+    """The bulk law read literally at beta = j/n is accurate at the
+    edges too: its relative error is about c_L(p)/j + c_R/(n - j).  At
+    j = ceil(sqrt n) and n - j = ceil(sqrt n) the scaled error
+    ceil(sqrt n) |law/exact - 1| has measured limits c_L(1.5) = 0.125,
+    c_L(3) = 0.25 and c_R = 1/6; each c_L matches p/12, and c_R the
+    Stirling term 1/(12 x) at x = m/2."""
+
+    NS = (512, 2048, 8192)
+
+    def _scaled_errors(self, p, side, cfg):
+        out = []
+        for n in self.NS:
+            k = math.isqrt(n - 1) + 1          # ceil(sqrt n)
+            j = k if side == "left" else n - k
+            exact = intrinsic_volume(PBallSpec.unit(p, n), j, cfg)
+            law = growth_law("bulk", p, n, j, cfg)
+            out.append(k * abs(math.expm1(law.log_abs
+                                          - exact.value.log_abs)))
+        return out
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_scaled_error_converges(self, cfg, p, side):
+        errs = self._scaled_errors(p, side, cfg)
+        limit = p / 12.0 if side == "left" else 1.0 / 6.0
+        for a, b in zip(errs, errs[1:]):
+            assert abs(b / a - 1.0) <= 0.01
+        for e in errs:
+            assert abs(e / limit - 1.0) <= 0.03
 
 
 class TestFaceIndex:
@@ -267,11 +334,31 @@ class TestFaceIndex:
          "face index at n=10"),
         ("bulk", {"alpha": 1e308}, 10, "--alpha 1e+308 gives no finite "
          "face index at n=10"),
+        # a j more than n outside the range is named without its digits
+        ("left", {"j": 39}, 20, "--j 39 gives j=39 outside 0..19 at n=20"),
+        ("left", {"j": 40}, 20, "--j 40 gives j outside 0..19 at n=20"),
+        ("left", {"j": -20}, 20, "--j -20 gives j=-20 outside 0..19 at "
+         "n=20"),
+        ("left", {"j": -21}, 20, "--j -21 gives j outside 0..19 at n=20"),
+        ("bulk", {"alpha": -0.95}, 20, "--alpha -0.95 gives j=-19 outside "
+         "1..19 at n=20"),
+        ("bulk", {"alpha": -1.0}, 20, "--alpha -1.0 gives j outside 1..19 "
+         "at n=20"),
+        ("right", {"m": 41}, 20, "--m 41 gives j outside 0..19 at n=20"),
+        ("bulk", {"alpha": 1e300}, 10, "--alpha 1e+300 gives j outside "
+         "1..9 at n=10"),
     ])
     def test_index_out_of_range(self, regime, kw, n, message):
         with pytest.raises(DomainError) as exc:
             face_index(regime, n, **kw)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("alpha", [1e17, 1e300, -1e300])
+    def test_message_length_is_bounded(self, alpha):
+        # floor(1e300 * 10) alone has 301 digits
+        with pytest.raises(DomainError) as exc:
+            face_index("bulk", 10, alpha=alpha)
+        assert len(str(exc.value)) <= 50
 
     @pytest.mark.parametrize("regime, kw, n, expected", [
         ("bulk", {"alpha": 0.05}, 20, 1), ("bulk", {"alpha": 0.99}, 20, 19),
@@ -396,7 +483,7 @@ class TestSurfaceGrowthLaw:
 
     def test_round_ball_normalized_closed_form(self):
         for n in (7, 80):
-            assert surface_area_asymptotic(2.0, n, normalized=True) == (
+            assert unit_volume_surface_area(2.0, n) == (
                 pytest.approx(math.sqrt(2.0 * math.pi * math.e * n), rel=1e-12)
             )
 
@@ -408,7 +495,7 @@ class TestSurfaceGrowthLaw:
             exact = n * math.exp(
                 0.5 * math.log(math.pi) - math.lgamma(0.5 * n + 1.0) / n
             )
-            form = surface_area_asymptotic(2.0, n, normalized=True)
+            form = unit_volume_surface_area(2.0, n)
             assert 0.0 < form / exact - 1.0 <= tol
 
     def test_isoperimetric_floor(self):
@@ -416,8 +503,8 @@ class TestSurfaceGrowthLaw:
         for p in (1.2, 1.5, 3.0, 64.0):
             for n in (10, 100):
                 assert (
-                    surface_area_asymptotic(p, n, normalized=True)
-                    >= surface_area_asymptotic(2.0, n, normalized=True) - 1e-9
+                    unit_volume_surface_area(p, n)
+                    >= unit_volume_surface_area(2.0, n) - 1e-9
                 )
 
     def test_validation(self):
@@ -425,3 +512,9 @@ class TestSurfaceGrowthLaw:
             surface_area_asymptotic(0.9, 10)
         with pytest.raises(DomainError):
             surface_area_asymptotic(2.0, 0)
+
+    def test_unit_volume_validation(self):
+        with pytest.raises(DomainError):
+            unit_volume_surface_area(0.9, 10)
+        with pytest.raises(DomainError):
+            unit_volume_surface_area(2.0, 0)

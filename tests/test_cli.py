@@ -401,6 +401,16 @@ class TestAsymptoticCommand:
         assert err.startswith("error: ") and flag in err
         assert "outside 0..19 at n=20" in err
 
+    def test_huge_alpha_message_names_the_range(self, capsys):
+        # floor(alpha n) has 301 digits here; the message leaves them out
+        rc, out, err = run(capsys, [
+            "asymptotic", "-p", "3", "--regime", "bulk", "--alpha", "1e300",
+            "--n", "10",
+        ])
+        assert rc == 2 and out == ""
+        assert err == "error: --alpha 1e+300 gives j outside 1..9 at n=10\n"
+        assert len(err) <= 60
+
     def test_right_regime_ratio_approaches_one(self, capsys):
         rc, out, _ = run(capsys, [
             "asymptotic", "-p", "3", "--regime", "right", "--m", "3",
@@ -776,6 +786,18 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("command, regime, choices", [
+        (["asymptotic"], "uniform", "'bulk', 'left', 'right', 'surface'"),
+        (["maxwell", "--lambda", "2"], "surface", "'bulk', 'left', 'right'"),
+    ])
+    def test_regime_choices(self, capsys, command, regime, choices):
+        # asymptotic offers every face_index regime, maxwell every regime
+        # with a limit law
+        rc, out, err = run(capsys, [*command, "-p", "3", "--regime", regime,
+                                    "--n", "10"])
+        assert rc == 2 and out == ""
+        assert f"invalid choice: '{regime}' (choose from {choices})" in err
 
     def test_unknown_command_is_two(self, capsys):
         rc, _, _ = run(capsys, ["frobnicate"])

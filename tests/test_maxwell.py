@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from lpvol import maxwell
 from lpvol.errors import DomainError
 from lpvol.maxwell import (
+    LIMIT_REGIMES,
     EmpiricalSample,
     LimitLaw,
     convergence_table,
@@ -54,6 +55,13 @@ class TestLambda0:
 
 
 class TestLimitLawConstruction:
+    def test_regimes(self):
+        # the surface regime has a growth law but no limit law
+        for regime in LIMIT_REGIMES[1:]:
+            assert LimitLaw(regime, 3.0).regime == regime
+        with pytest.raises(DomainError, match="unknown regime 'surface'"):
+            LimitLaw("surface", 3.0)
+
     def test_bulk_factory(self):
         law = LimitLaw.bulk(2.5, 0.4)
         assert law.regime == "bulk"
@@ -236,6 +244,43 @@ class TestRegimeContinuity:
         else:
             assert devs[1e-3] <= 0.02
             assert devs[1e-3] < devs[1e-2]
+
+
+class TestBoundaryIdentities:
+    """On the boundary of the unit ball sum_k |x_k|^p = 1, so under every
+    normalized curvature measure n E|X_1|^p = 1 and E|X_1|^(2p) +
+    (n-1) E|X_1|^p |X_2|^p = E|X_1|^p, at every n and j; in the limit
+    scale^p E|xi|^p = 1 for every law.  Each finite-n identity holds
+    within the reported errors of the rows it reads."""
+
+    ROWS = [(3.0, 64, 32), (1.5, 256, 3), (5.0, 1024, 1000),
+            (3.0, 4096, 2048)]
+
+    @pytest.mark.parametrize("p, n, j", ROWS)
+    def test_pth_moment_sums_to_one(self, cfg, p, n, j):
+        log_m, err = maxwell._moment_ratio_log(p, n, j, [p], cfg, False)
+        assert abs(math.expm1(log_m + math.log(n))) <= err
+
+    @pytest.mark.parametrize("p, n, j", ROWS)
+    def test_constraint_times_first_coordinate(self, cfg, p, n, j):
+        log_m, err = maxwell._moment_ratio_log(p, n, j, [p], cfg, False)
+        log_sq, err_sq = maxwell._moment_ratio_log(p, n, j, [2.0 * p], cfg,
+                                                   False)
+        log_pair, err_pair = maxwell._moment_ratio_log(p, n, j, [p, p], cfg,
+                                                       False)
+        lhs = math.exp(log_sq - log_m) + (n - 1) * math.exp(log_pair - log_m)
+        assert abs(lhs - 1.0) <= err + err_sq + err_pair
+
+    @pytest.mark.parametrize("law", [
+        lambda: LimitLaw.bulk(3.0, 0.5), lambda: LimitLaw.bulk(1.5, 0.25),
+        lambda: LimitLaw.left_edge(3.0), lambda: LimitLaw.right_edge(1.7),
+    ])
+    def test_limit_law_pth_moment(self, cfg, law):
+        # closed forms or one F-table row, with no reported error: the
+        # identity holds to rounding
+        law = law()
+        assert law.scale ** law.p * limit_moment(law, law.p, cfg) == (
+            pytest.approx(1.0, rel=1e-13, abs=0.0))
 
 
 class TestFiniteNMomentRatio:
