@@ -11,12 +11,11 @@ from .specfun import (DEFAULT_CONFIG, IJKL, QuadConfig, as_exponent,
                       f_family, f_family_at_zero, f_family_at_zero_log,
                       f_family_large_t, f_family_log, f_family_log_table,
                       ijkl, kappa, log_kappa)
-from .exactvol import (IntrinsicVolumeResult, MomentRequest, PBallSpec,
+from .exactvol import (ExactResult, MomentRequest, PBallSpec,
                        intrinsic_volume, intrinsic_volume_weighted,
                        key_integral, kubota_projection_factor,
                        mean_projection_volume, mixed_moment,
-                       mixed_moment_log, steiner_polynomial, surface_moment,
-                       volume)
+                       steiner_polynomial, surface_moment, volume)
 from .oracles import (McConfig, ball_vj, crosspolytope_vj, cube_vj,
                       ellipsoid_vj, project_lp_ball, steiner_mc_volume)
 from .asymptotics import (PhasePoint, ProfilePoint, ProfileReferences,

@@ -291,6 +291,8 @@ def left_edge_asymptotic(p, n, j) -> LogValue:
     if not (isinstance(j, (int, np.integer)) and j >= 0):
         raise DomainError(f"left edge needs j >= 0, got {j!r}")
     j = int(j)
+    if j > n - 1:
+        raise DomainError(f"face index {j} exceeds n - 1 = {n - 1}")
     log_c = (math.log(2.0 * math.sqrt(math.pi)) / p
              + (1.0 - 1.0 / p) * (math.lgamma(1.0 / (2.0 * p - 2.0))
                                   - math.log(p - 1.0)))

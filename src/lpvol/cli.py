@@ -204,8 +204,8 @@ def cmd_intrinsic(args, cfg) -> tuple:
     else:
         js = [args.j]
         results = [intrinsic_volume(spec, args.j, cfg)]
-    rows = [(res.j, res.value.value, res.value.log10(), res.est_rel_error)
-            for res in results]
+    rows = [(j, res.value.value, res.value.log10(), res.est_rel_error)
+            for j, res in zip(js, results)]
     if args.all:
         # the volume sequence must be log-concave: V_j^2 >= V_(j-1) V_(j+1)
         logs = [r[2] for r in rows]
@@ -347,9 +347,9 @@ def _worst_check(label, devs, bound, what="rel dev"):
 def _suite_ball(cfg, seed):
     devs = []
     for n in (2, 4, 6):
-        for res in intrinsic_volumes(PBallSpec.unit(2.0, n), range(n + 1),
-                                     cfg):
-            ref = oracles.ball_vj(n, res.j)
+        for j, res in enumerate(intrinsic_volumes(PBallSpec.unit(2.0, n),
+                                                  range(n + 1), cfg)):
+            ref = oracles.ball_vj(n, j)
             devs.append(abs(res.value.value - ref) / ref)
     return [_worst_check("round-ball volumes vs closed form, n <= 6", devs,
                          1e-8)]

@@ -8,7 +8,7 @@ thousands pose no scaling problem.
 
 One theta integral serves every exact value: the boundary moment of
 codimension index m, whose integrand is a leave-one-out coefficient sum
-over the coordinates (_moment_logs).  V_j, 0 < j < n, is that moment
+over the coordinates (_moments).  V_j, 0 < j < n, is that moment
 with all exponents zero and m = n - j, on unit and weighted bodies
 alike; V_0 = 1 and V_n = volume(spec) are closed forms.  Coordinates
 with equal weight and exponent form one group; when the whole body is
@@ -21,28 +21,32 @@ The F values come from the interpolant f_family_log_interp, which
 reports a bound eps_nu on the error of each log F column.  Every term
 of the sum reads n - m values of the v column, m - 1 of u and one of w,
 so est_rel_error adds expm1 of (n-m) eps_v + (m-1) eps_u + eps_w.
+
+Every theta-integral value (V_j, the mixed and surface moments, the key
+integral) is one ExactResult: the value as a LogValue, its estimated
+relative error and the theta nodes it took.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .logspace import LogValue, exp_checked
+from .logspace import LogValue
 from .quadrature import log_theta_integral
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_interp,
                       kappa, log_choose, log_kappa)
 from .symfun import batched_loo_log
 
 __all__ = [
-    "PBallSpec", "MomentRequest", "IntrinsicVolumeResult",
+    "PBallSpec", "MomentRequest", "ExactResult",
     "volume", "intrinsic_volume", "intrinsic_volumes",
     "intrinsic_volume_weighted",
-    "mixed_moment", "mixed_moment_log", "surface_moment", "key_integral",
+    "mixed_moment", "surface_moment", "key_integral",
     "mean_projection_volume", "kubota_projection_factor",
     "steiner_polynomial",
 ]
@@ -156,21 +160,21 @@ class MomentRequest:
 
 
 @dataclass(frozen=True)
-class IntrinsicVolumeResult:
-    """An intrinsic volume with quadrature diagnostics.
+class ExactResult:
+    """A theta-integral value with its quadrature diagnostics.
 
-    value is a positive log-scale number; theta_nodes counts integrand
-    evaluations of the outer integral (for a result of intrinsic_volumes,
-    the node count of the mesh shared by the whole family, so equal for
-    all its members; 0 for a closed form); est_rel_error is the
+    value is a positive log-scale number; est_rel_error is the
     quadrature error estimate relative to the value, widened by the
-    F-interpolant bound, plus the rounding of its log terms.
+    F-interpolant bound, plus the rounding of its log terms (0 for a
+    closed form); theta_nodes counts integrand evaluations of the theta
+    integral (for a result of intrinsic_volumes, the node count of the
+    mesh shared by the whole family, so equal for all its members; 0 for
+    a closed form).
     """
 
     value: LogValue
-    j: int
-    theta_nodes: int
     est_rel_error: float
+    theta_nodes: int
 
 
 def volume(spec: PBallSpec) -> LogValue:
@@ -182,22 +186,23 @@ def volume(spec: PBallSpec) -> LogValue:
     return LogValue.from_log(log_v)
 
 
-def _rounding_rel_error(log_pre, log_int: float) -> float:
-    """Relative error of exp(sum(log_pre) + log_int) from rounding its
-    log terms: eps per unit of log magnitude.  In the thousands of
-    dimensions the lgamma terms reach n log n and this exceeds the
-    quadrature error."""
-    return _EPS * (sum(abs(t) for t in log_pre) + abs(log_int))
+def _result(log_pre, log_int: float, log_err: float, log_f_err: float,
+            nodes: int) -> ExactResult:
+    """exp(sum(log_pre) + log_int) for a theta integral exp(log_int) with
+    error exp(log_err) whose integrand's log is off by at most log_f_err.
 
-
-def _with_f_error(log_int: float, log_err: float, log_f_err: float
-                      ) -> float:
-    """log_err of a theta integral widened by the F-interpolant error: an
-    integrand whose log is off by at most log_f_err is off by at most
-    expm1(log_f_err) relative, and so is its integral."""
-    if log_f_err <= 0.0:
-        return log_err
-    return np.logaddexp(log_err, log_int + math.log(math.expm1(log_f_err)))
+    The relative error is the quadrature's, widened by expm1(log_f_err)
+    (an integrand off by that much relative carries it to its integral),
+    plus the rounding of the log terms: eps per unit of log magnitude.
+    In the thousands of dimensions the lgamma terms reach n log n and the
+    rounding exceeds the quadrature error.
+    """
+    if log_f_err > 0.0:
+        log_err = np.logaddexp(log_err,
+                               log_int + math.log(math.expm1(log_f_err)))
+    rel = (math.exp(log_err - log_int)
+           + _EPS * (sum(abs(t) for t in log_pre) + abs(log_int)))
+    return ExactResult(LogValue.from_log(sum(log_pre) + log_int), rel, nodes)
 
 
 def intrinsic_volumes(spec: PBallSpec, js: Sequence[int],
@@ -206,30 +211,26 @@ def intrinsic_volumes(spec: PBallSpec, js: Sequence[int],
 
     V_0 = 1 and V_n = volume(spec) are closed forms.  Every other V_j is
     the boundary moment of codimension n - j with no exponents, and all
-    of them are one family theta integral on a shared mesh (_moment_logs),
+    of them are one family theta integral on a shared mesh (_moments),
     so each F-table batch serves every member; theta_nodes of each result
     is the node count of that shared mesh.
     """
-    cfg = _cfg(cfg)
     n = spec.n
     js = [int(j) for j in js]
     for j in js:
         if not 0 <= j <= n:
             raise DomainError(f"intrinsic volume index {j} outside 0..{n}")
-    found = {0: IntrinsicVolumeResult(LogValue.one(), 0, 0, 0.0),
-             n: IntrinsicVolumeResult(volume(spec), n, 0, 0.0)}
+    found = {0: ExactResult(LogValue.one(), 0.0, 0),
+             n: ExactResult(volume(spec), 0.0, 0)}
     inner = sorted({j for j in js if 0 < j < n})
     if inner:
-        rows, nodes = _moment_logs(spec, [n - j for j in inner], np.zeros(n),
-                                   cfg)
-        for j, (log_val, rel) in zip(inner, rows):
-            found[j] = IntrinsicVolumeResult(LogValue.from_log(log_val), j,
-                                             nodes, rel)
+        found.update(zip(inner, _moments(spec, [n - j for j in inner],
+                                         np.zeros(n), _cfg(cfg))))
     return [found[j] for j in js]
 
 
 def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
-                     ) -> IntrinsicVolumeResult:
+                     ) -> ExactResult:
     """V_j of a unit or weighted p-ball: intrinsic_volumes for one j."""
     return intrinsic_volumes(spec, [j], cfg)[0]
 
@@ -272,10 +273,10 @@ def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
     return gather, counts, ua2[gidx]
 
 
-def _moment_logs(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig):
+def _moments(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig) -> list:
     """Boundary moments of codimension indices ms (validated by the
     caller) that share the padded exponents lam, as one family theta
-    integral.  Returns ([(log value, relative error) per m], theta nodes).
+    integral: one ExactResult per m, each with the shared mesh's nodes.
 
     Integrand at each theta: theta^(m/2-1) times the leave-one-out
     coefficient sum of order m over the triples (v_k, u_k, w_k) =
@@ -327,67 +328,54 @@ def _moment_logs(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig):
     out = []
     for m, log_int, log_err in zip(ms.tolist(), log_ints.tolist(),
                                    log_errs.tolist()):
-        log_err = _with_f_error(
-            log_int, log_err, (n - m) * eps_v + (m - 1) * eps_u + eps_w)
         pre = (math.log(p), (m - 1) * math.log(p - 1.0),
                log_choose(n, m) if one_group else -math.log(m),
                -log_kappa(m), -math.lgamma((n + total + p - m) / p),
                -math.lgamma(0.5 * m),
                -float(((lam + 1.0) * np.log(spec.weights)).sum()))
-        out.append((sum(pre) + log_int,
-                    math.exp(log_err - log_int)
-                    + _rounding_rel_error(pre, log_int)))
-    return out, nodes
-
-
-def _moment_log(spec: PBallSpec, req: MomentRequest, cfg: QuadConfig):
-    req.validate(spec)
-    rows, nodes = _moment_logs(spec, [req.codim], req.padded(spec.n), cfg)
-    return (*rows[0], nodes)
+        out.append(_result(pre, log_int, log_err,
+                           (n - m) * eps_v + (m - 1) * eps_u + eps_w, nodes))
+    return out
 
 
 def mixed_moment(spec: PBallSpec, request: MomentRequest,
-                 cfg: QuadConfig = None) -> float:
+                 cfg: QuadConfig = None) -> ExactResult:
     """Boundary mixed moment: the local-parallel-volume coefficient of
-    order codim, weighted by prod_k |x_k|^lambda_k over the boundary.
-    DomainError when it overflows a double (mixed_moment_log does not)."""
-    log_val, _, _ = _moment_log(spec, request, _cfg(cfg))
-    return exp_checked(log_val, "the mixed moment")
-
-
-def mixed_moment_log(spec: PBallSpec, request: MomentRequest,
-                     cfg: QuadConfig = None) -> LogValue:
-    log_val, _, _ = _moment_log(spec, request, _cfg(cfg))
-    return LogValue.from_log(log_val)
+    order codim, weighted by prod_k |x_k|^lambda_k over the boundary."""
+    request.validate(spec)
+    return _moments(spec, [request.codim], request.padded(spec.n),
+                    _cfg(cfg))[0]
 
 
 def surface_moment(spec: PBallSpec, lambdas: Sequence[float] = (),
-                   cfg: QuadConfig = None) -> float:
+                   cfg: QuadConfig = None) -> ExactResult:
     """Surface-measure moment int_boundary prod |x_k|^lambda_k dS.
 
     Surface measure is twice the top curvature measure, so this is
-    2 * mixed_moment(spec, MomentRequest(1, lambdas)): with G(theta) =
-    prod_k F(theta a_k^2; lambda_k), integration by parts turns the
-    surface integral of (G(0) - G(theta)) theta^(-3/2) into
-    2 int theta^(-1/2) (-G'(theta)), and -G' is the m = 1 leave-one-out
-    sum of the moment integrand, under the same prefactor.  DomainError
-    when it overflows a double.
+    2 * mixed_moment(spec, MomentRequest(1, lambdas)), with the same
+    relative error: with G(theta) = prod_k F(theta a_k^2; lambda_k),
+    integration by parts turns the surface integral of
+    (G(0) - G(theta)) theta^(-3/2) into 2 int theta^(-1/2) (-G'(theta)),
+    and -G' is the m = 1 leave-one-out sum of the moment integrand, under
+    the same prefactor.
     """
-    log_val, _, _ = _moment_log(spec, MomentRequest(1, lambdas), _cfg(cfg))
-    return exp_checked(math.log(2.0) + log_val, "the surface moment")
+    res = mixed_moment(spec, MomentRequest(1, lambdas), cfg)
+    return replace(res, value=LogValue.from_log(math.log(2.0)
+                                                + res.value.log_abs))
 
 
 def key_integral(spec: PBallSpec, alpha: float,
                  exponents: Sequence[float] = (),
-                 cfg: QuadConfig = None) -> float:
+                 cfg: QuadConfig = None) -> ExactResult:
     """The master two-sided integral
 
         integral_0^inf theta^(alpha/2 - 1) prod_k F(theta a_k^2; alpha_k)
         d theta  /  (Gamma(alpha/2) Gamma(mu) prod a_k^(alpha_k + 1) / p)
 
     with mu = (n + sum alpha_k - alpha (p-1)) / p, convergent exactly when
-    0 < alpha < sum_k (alpha_k + 1) / (p - 1).  DomainError when it
-    overflows a double.
+    0 < alpha < sum_k (alpha_k + 1) / (p - 1).  The integrand's log sums
+    n log F values, so it is off by at most n times their largest
+    interpolant bound, and the error includes that.
     """
     cfg = _cfg(cfg)
     p, n = spec.p, spec.n
@@ -406,13 +394,19 @@ def key_integral(spec: PBallSpec, alpha: float,
             f"(0, {float((al + 1.0).sum()) / (p - 1.0)})")
     mu = (n + float(al.sum()) - alpha * (p - 1.0)) / p
     gather, counts, _ = _coordinate_log_f(spec, al, [0.0], cfg)
-    log_int, _, _ = log_theta_integral(
-        np.array([0.5 * alpha - 1.0]),
-        lambda th, idx: (gather(th)[0][0] * counts).sum(axis=1)[:, None],
-        np.array([s_tail]), cfg)
-    log_pre = (math.log(p) - math.lgamma(mu) - math.lgamma(0.5 * alpha)
-               - float(((al + 1.0) * np.log(spec.weights)).sum()))
-    return exp_checked(log_pre + float(log_int[0]), "the key integral")
+    bound = np.zeros(1)
+
+    def log_smooth(th, idx):
+        cols, err = gather(th)
+        np.maximum(bound, err, out=bound)
+        return (cols[0] * counts).sum(axis=1)[:, None]
+
+    log_int, log_err, nodes = log_theta_integral(
+        np.array([0.5 * alpha - 1.0]), log_smooth, np.array([s_tail]), cfg)
+    pre = (math.log(p), -math.lgamma(mu), -math.lgamma(0.5 * alpha),
+           -float(((al + 1.0) * np.log(spec.weights)).sum()))
+    return _result(pre, float(log_int[0]), float(log_err[0]),
+                   n * float(bound[0]), nodes)
 
 
 def kubota_projection_factor(n: int, j: int) -> float:
@@ -428,8 +422,8 @@ def mean_projection_volume(spec: PBallSpec, j: int,
                            cfg: QuadConfig = None) -> float:
     """Average j-volume of the projection onto a uniform random
     j-dimensional subspace: V_j times the Kubota factor."""
-    res = intrinsic_volumes(spec, [j], cfg)[0]
-    return res.value.value * kubota_projection_factor(spec.n, res.j)
+    return (intrinsic_volume(spec, j, cfg).value.value
+            * kubota_projection_factor(spec.n, j))
 
 
 def steiner_polynomial(spec: PBallSpec, t: float,

@@ -30,12 +30,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .exactvol import (MomentRequest, PBallSpec, _moment_log,
-                       intrinsic_volume)
-from .logspace import exp_checked
+from .exactvol import (ExactResult, MomentRequest, PBallSpec,
+                       intrinsic_volume, mixed_moment)
+from .logspace import LogValue, exp_checked
 from .rng import batches, standard_exponential
-from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_table,
-                      log_gamma)
+from .specfun import QuadConfig, as_exponent, f_family_log_table, log_gamma
 from .asymptotics import PhasePoint, face_index, phase_maximizer
 
 __all__ = [
@@ -168,36 +167,21 @@ def limit_moment(law: LimitLaw, lam: float, cfg: QuadConfig = None) -> float:
             + (1.0 - law.alpha) * exp_checked(float(log_b - log_j), what))
 
 
-def _moment_ratio_log(p, n: int, j: int, lambdas: Sequence[float],
-                      cfg: QuadConfig, scaled: bool):
-    """(log of finite_n_moment_ratio, its estimated relative error).
-
-    The error is the sum of the two quadratures' relative error
-    estimates: the moment's and that of V_j.
+def finite_n_moment_ratio(p, n: int, j: int, lambdas: Sequence[float],
+                          cfg: QuadConfig = None) -> ExactResult:
+    """Moment of the codimension n-j boundary measure over V_j for the
+    unit ball: E prod_k |X_k|^lambda_k under the normalized j-face
+    measure.  Its error is the sum of the two relative errors, the
+    moment's and that of V_j, and its nodes those of both integrals.
     """
     spec = PBallSpec.unit(p, int(n))
     j = int(j)
-    req = MomentRequest(spec.n - j, lambdas)
-    log_num, num_err, _ = _moment_log(spec, req, _cfg(cfg))
+    num = mixed_moment(spec, MomentRequest(spec.n - j, lambdas), cfg)
     den = intrinsic_volume(spec, j, cfg)
-    log_ratio = log_num - den.value.log_abs
-    if scaled:
-        log_ratio += sum(float(v) for v in lambdas) / spec.p * math.log(spec.n)
-    return log_ratio, num_err + den.est_rel_error
-
-
-def finite_n_moment_ratio(p, n: int, j: int, lambdas: Sequence[float],
-                          cfg: QuadConfig = None, *,
-                          scaled: bool = False) -> float:
-    """Moment of the codimension n-j boundary measure over V_j for the
-    unit ball: E prod_k |X_k|^lambda_k under the normalized j-face
-    measure.  With scaled=True the value is premultiplied by
-    n^(sum(lambdas)/p), the scaling under which it converges.
-    DomainError when the value overflows a double.
-    """
-    log_ratio = _moment_ratio_log(p, n, j, lambdas, cfg, scaled)[0]
-    return exp_checked(log_ratio,
-                       f"the moment for lambda={list(lambdas)} at n={n}")
+    return ExactResult(
+        LogValue.from_log(num.value.log_abs - den.value.log_abs),
+        num.est_rel_error + den.est_rel_error,
+        num.theta_nodes + den.theta_nodes)
 
 
 class ConvergenceRow(NamedTuple):
@@ -216,8 +200,10 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
 
     The face index of row n is face_index(regime, n, ...): floor(alpha n)
     in the bulk, the given fixed j at the left edge, n - m at the right
-    edge; every row's index is checked before anything is computed.  The
-    limit is prod_k scale^lambda_k E|xi|^lambda_k for the matching law.
+    edge; every row's index is checked before anything is computed.  A
+    row's moment is finite_n_moment_ratio times n^(sum(lambdas)/p), the
+    scaling under which it converges, and the limit is
+    prod_k scale^lambda_k E|xi|^lambda_k for the matching law.
     DomainError when the limit or a row's moment overflows a double.
     """
     lambdas = [float(v) for v in lambdas]
@@ -232,11 +218,13 @@ def convergence_table(p, regime: str, lambdas: Sequence[float],
         f"the limit for lambda={lambdas}")
     rows = []
     for n, jn in rows_j:
-        log_val, err = _moment_ratio_log(p, n, jn, lambdas, cfg, True)
+        res = finite_n_moment_ratio(p, n, jn, lambdas, cfg)
         val = exp_checked(
-            log_val, f"the scaled moment for lambda={lambdas} at n={n}")
+            res.value.log_abs + sum(lambdas) / law.p * math.log(n),
+            f"the scaled moment for lambda={lambdas} at n={n}")
         rows.append(ConvergenceRow(n, val, limit,
-                                   abs(val - limit) / abs(limit), err))
+                                   abs(val - limit) / abs(limit),
+                                   res.est_rel_error))
     return rows
 
 

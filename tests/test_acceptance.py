@@ -313,7 +313,8 @@ def test_criterion_09_curvature_suite(cfg, rng):
 
 def test_criterion_10_mixed_moment_identities(cfg):
     spec3 = PBallSpec.unit(2.0, 3)
-    got = mixed_moment(spec3, MomentRequest(1, (2.0, 0.0, 0.0)), cfg)
+    got = mixed_moment(spec3, MomentRequest(1, (2.0, 0.0, 0.0)),
+                       cfg).value.value
     dev_a = abs(got / (2.0 * math.pi / 3.0) - 1.0)
     # rotation invariance: E X_1^2 = V_(n-m) / n at every codimension
     dev_b = 0.0
@@ -321,21 +322,23 @@ def test_criterion_10_mixed_moment_identities(cfg):
     spec5 = PBallSpec.unit(2.0, n)
     for m in (1, 2, 3):
         got = mixed_moment(spec5, MomentRequest(m, (2.0,) + (0.0,) * (n - 1)),
-                           cfg)
+                           cfg).value.value
         ref = ball_vj(n, n - m) / n
         dev_b = max(dev_b, abs(got / ref - 1.0))
-    dev_surf = abs(surface_moment(spec3, (), cfg) / (4.0 * math.pi) - 1.0)
+    dev_surf = abs(surface_moment(spec3, (), cfg).value.value
+                   / (4.0 * math.pi) - 1.0)
     # moments over the top-index measure: n E X_1^2 = 1 on the sphere
     dev_c = 0.0
     for n in (5, 9):
-        ratio = finite_n_moment_ratio(2.0, n, n - 1, (2.0,), cfg)
+        ratio = finite_n_moment_ratio(2.0, n, n - 1, (2.0,), cfg).value.value
         dev_c = max(dev_c, abs(n * ratio - 1.0))
     # lambda = 0 reduction to the plain intrinsic volume
     dev_zero = 0.0
     for p in (2.0, 3.0):
         for m in (1, 2):
             spec = PBallSpec.unit(p, 4)
-            got = mixed_moment(spec, MomentRequest(m, (0.0,) * 4), cfg)
+            got = mixed_moment(spec, MomentRequest(m, (0.0,) * 4),
+                               cfg).value.value
             ref = intrinsic_volume(spec, 4 - m, cfg).value.value
             dev_zero = max(dev_zero, abs(got / ref - 1.0))
     _report(10, "mixed-moment sphere symmetry and lambda=0 reduction",

@@ -216,6 +216,19 @@ class TestEdgeGrowthLaws:
         with pytest.raises(DomainError):
             right_edge_asymptotic(2.0, 3, 5)
 
+    def test_left_edge_refuses_j_beyond_n_minus_one(self):
+        # a 10-dimensional body has no V_50 law (its log read -30.8), as
+        # the right edge has none for m > n
+        for j in (50, 10):
+            with pytest.raises(DomainError,
+                               match=f"face index {j} exceeds n - 1 = 9"):
+                left_edge_asymptotic(3.0, 10, j)
+            with pytest.raises(DomainError, match="exceeds n - 1"):
+                growth_law("left", 3.0, 10, j)
+        top = left_edge_asymptotic(3.0, 10, 9)
+        assert math.isfinite(top.log_abs)
+        assert growth_law("left", 3.0, 10, 9) == top
+
 
 class TestGrowthLaw:
     """growth_law is the one lookup from a regime row to its law."""

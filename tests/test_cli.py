@@ -598,8 +598,8 @@ class TestMaxwellCommand:
     def test_face_index_checked_before_any_row(self, capsys, monkeypatch,
                                                argv, message):
         computed = []
-        monkeypatch.setattr(maxwell, "_moment_ratio_log",
-                            lambda *a: computed.append(a) or (0.0, 0.0))
+        monkeypatch.setattr(maxwell, "finite_n_moment_ratio",
+                            lambda *a: computed.append(a))
         rc, out, err = run(capsys, ["maxwell", "-p", "1.5", "--lambda", "2",
                                     *argv])
         assert rc == 2 and out == "" and computed == []

@@ -8,12 +8,13 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 from lpvol.errors import DomainError
-from lpvol.exactvol import (MomentRequest, PBallSpec, intrinsic_volume,
-                            intrinsic_volume_weighted, intrinsic_volumes,
-                            key_integral,
+from lpvol.exactvol import (ExactResult, MomentRequest, PBallSpec,
+                            intrinsic_volume, intrinsic_volume_weighted,
+                            intrinsic_volumes, key_integral,
                             kubota_projection_factor, mean_projection_volume,
-                            mixed_moment, mixed_moment_log,
-                            steiner_polynomial, surface_moment, volume)
+                            mixed_moment, steiner_polynomial, surface_moment,
+                            volume)
+from lpvol.logspace import LogValue, exp_checked
 from lpvol.oracles import ball_vj, crosspolytope_vj, cube_vj
 from lpvol.specfun import f_family, kappa
 
@@ -137,9 +138,8 @@ class TestIntrinsicVolumeFamilies:
     def test_order_duplicates_and_closed_forms(self, cfg, weights):
         spec = PBallSpec(3.0, weights)
         res = intrinsic_volumes(spec, [5, 2, 0, 2], cfg)
-        assert [r.j for r in res] == [5, 2, 0, 2]
-        assert res[0].value.log_abs == volume(spec).log_abs
-        assert res[0].theta_nodes == 0
+        assert res[0] == ExactResult(volume(spec), 0.0, 0)
+        assert res[2] == ExactResult(LogValue.one(), 0.0, 0)
         assert res[1] == res[3]
         assert res[1].theta_nodes > 0
 
@@ -186,14 +186,14 @@ class TestMixedMoments:
     def test_zero_exponents_give_intrinsic_volume(self, cfg):
         spec = PBallSpec(p=2.5, weights=(1.0, 1.4, 0.9))
         for m in (1, 2, 3):
-            mom = mixed_moment(spec, MomentRequest(m, ()), cfg)
+            mom = mixed_moment(spec, MomentRequest(m, ()), cfg).value.value
             ref = intrinsic_volume_weighted(spec, 3 - m, cfg).value.value
             assert mom == pytest.approx(ref, rel=1e-9)
 
     def test_sphere_coordinate_second_moment(self, cfg):
         # (1/2) int_(S^2) x_1^2 = (1/2)(4 pi / 3)
         spec = PBallSpec.unit(2.0, 3)
-        mom = mixed_moment(spec, MomentRequest(1, (2.0,)), cfg)
+        mom = mixed_moment(spec, MomentRequest(1, (2.0,)), cfg).value.value
         assert mom == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
 
     def test_sphere_symmetry_all_codimensions(self, cfg):
@@ -201,7 +201,8 @@ class TestMixedMoments:
         for n in (3, 5):
             spec = PBallSpec.unit(2.0, n)
             for m in range(1, n + 1):
-                mom = mixed_moment(spec, MomentRequest(m, (2.0,)), cfg)
+                mom = mixed_moment(spec, MomentRequest(m, (2.0,)),
+                                   cfg).value.value
                 ref = intrinsic_volume(spec, n - m, cfg).value.value / n
                 assert mom == pytest.approx(ref, rel=1e-9)
 
@@ -209,15 +210,10 @@ class TestMixedMoments:
         # lambda_1 = -0.5 <= 1 - p: valid at m = 1, where the order-0
         # coefficient needs no F(.; lambda + p - 2) column
         spec = PBallSpec.unit(1.2, 3)
-        mom = mixed_moment(spec, MomentRequest(1, (-0.5, 0.3)), cfg)
+        mom = mixed_moment(spec, MomentRequest(1, (-0.5, 0.3)),
+                           cfg).value.value
         ref = SURFACE_MOMENT_DBLQUAD[(1.2, (1.0, 1.0, 1.0), (-0.5, 0.3, 0.0))]
         assert mom == pytest.approx(0.5 * ref, rel=1e-9)
-
-    def test_log_route_agrees(self, cfg):
-        spec = PBallSpec(p=1.6, weights=(1.0, 2.0))
-        req = MomentRequest(1, (0.5, 1.5))
-        assert mixed_moment_log(spec, req, cfg).value == pytest.approx(
-            mixed_moment(spec, req, cfg), rel=1e-12)
 
     def test_exponent_validation(self):
         spec = PBallSpec.unit(1.5, 3)
@@ -234,11 +230,12 @@ class TestMixedMoments:
 
 class TestSurfaceMoments:
     def test_sphere_area(self, cfg):
-        got = surface_moment(PBallSpec.unit(2.0, 3), (), cfg)
+        got = surface_moment(PBallSpec.unit(2.0, 3), (), cfg).value.value
         assert got == pytest.approx(4.0 * math.pi, rel=1e-10)
 
     def test_ellipse_perimeter(self, cfg):
-        got = surface_moment(PBallSpec(p=2.0, weights=(1.0, 2.0)), (), cfg)
+        got = surface_moment(PBallSpec(p=2.0, weights=(1.0, 2.0)), (),
+                             cfg).value.value
         assert got == pytest.approx(4.0 * float(ellipe(0.75)), rel=1e-9)
         assert got == pytest.approx(4.8442241, rel=1e-7)
 
@@ -246,25 +243,27 @@ class TestSurfaceMoments:
                              ids=lambda key: f"p={key[0]}")
     def test_against_dblquad_reference(self, cfg, key):
         p, weights, lambdas = key
-        got = surface_moment(PBallSpec(p=p, weights=weights), lambdas, cfg)
+        got = surface_moment(PBallSpec(p=p, weights=weights), lambdas,
+                             cfg).value.value
         assert got == pytest.approx(SURFACE_MOMENT_DBLQUAD[key], rel=1e-9)
 
     def test_moment_weights(self, cfg):
         # int_(S^2) x_1^2 dS = (4/3) pi
-        got = surface_moment(PBallSpec.unit(2.0, 3), (2.0,), cfg)
+        got = surface_moment(PBallSpec.unit(2.0, 3), (2.0,),
+                             cfg).value.value
         assert got == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)
 
 
 class TestKeyIntegral:
     def test_unit_circle_value(self, cfg):
         # rotation-invariant case collapses to the circumference
-        got = key_integral(PBallSpec.unit(2.0, 2), 1.0, (), cfg)
+        got = key_integral(PBallSpec.unit(2.0, 2), 1.0, (), cfg).value.value
         assert got == pytest.approx(2.0 * math.pi, rel=1e-9)
 
     def test_against_direct_quadrature(self, cfg):
         spec = PBallSpec(p=2.5, weights=(1.0, 1.3))
         alpha, exps = 0.8, (0.5, 0.0)
-        got = key_integral(spec, alpha, exps, cfg)
+        got = key_integral(spec, alpha, exps, cfg).value.value
         a2 = spec.weights ** 2
 
         def smooth(th):
@@ -291,7 +290,7 @@ class TestKeyIntegral:
         with pytest.raises(DomainError):
             key_integral(spec, 2.0, (), cfg)
         # comfortably inside the strip the integral converges
-        assert key_integral(spec, 1.0, (), cfg) > 0.0
+        assert key_integral(spec, 1.0, (), cfg).value.value > 0.0
 
     def test_exponent_checks(self, cfg):
         spec = PBallSpec.unit(2.5, 2)
@@ -301,9 +300,77 @@ class TestKeyIntegral:
             key_integral(spec, 1.0, (-1.0,), cfg)
 
 
+class TestErrorCalibration:
+    """Every theta-integral record reports a positive est_rel_error that
+    bounds its deviation from a closed form (by 3.6 to 23 times here)."""
+
+    @pytest.mark.parametrize("call, exact", [
+        (lambda cfg: surface_moment(PBallSpec.unit(2.0, 3), (), cfg),
+         4.0 * math.pi),
+        (lambda cfg: surface_moment(PBallSpec(2.0, (1.0, 2.0)), (), cfg),
+         4.0 * float(ellipe(0.75))),
+        (lambda cfg: surface_moment(PBallSpec.unit(2.0, 3), (2.0,), cfg),
+         4.0 * math.pi / 3.0),
+        (lambda cfg: mixed_moment(PBallSpec.unit(2.0, 3),
+                                  MomentRequest(1, (2.0,)), cfg),
+         2.0 * math.pi / 3.0),
+        (lambda cfg: key_integral(PBallSpec.unit(2.0, 2), 1.0, (), cfg),
+         2.0 * math.pi),
+    ], ids=["sphere_area", "ellipse_perimeter", "sphere_x1_squared",
+            "sphere_top_moment", "key_integral_circle"])
+    def test_error_bounds_closed_form(self, cfg, call, exact):
+        res = call(cfg)
+        assert res.est_rel_error > 0.0 and res.theta_nodes > 0
+        dev = abs(math.expm1(res.value.log_abs - math.log(exact)))
+        assert dev <= res.est_rel_error
+
+    def test_surface_is_twice_the_top_moment(self, cfg):
+        # the same integral under log 2 more prefactor: same error, nodes
+        spec = PBallSpec(p=1.6, weights=(1.0, 2.0))
+        top = mixed_moment(spec, MomentRequest(1, (0.5, 1.5)), cfg)
+        surf = surface_moment(spec, (0.5, 1.5), cfg)
+        assert surf.value.log_abs == math.log(2.0) + top.value.log_abs
+        assert surf.est_rel_error == top.est_rel_error
+        assert surf.theta_nodes == top.theta_nodes
+
+
+W5 = (1.0, 2.0, 0.5, 1.5, 0.8)
+W40 = (1.0,) * 20 + (2.0,) * 20
+
+
+class TestWeightedBoundaryIdentity:
+    """On the boundary of a weighted ball sum_k a_k^p |x_k|^p = 1, so
+    under every normalized curvature measure sum_k a_k^p E|X_k|^p = 1.
+    Coordinates of equal weight have equal moments: one mixed moment per
+    weight level, over V_j, serves them all.  The identity holds within
+    the sum of the errors of the records it reads."""
+
+    @pytest.mark.parametrize("p, weights, j", [
+        (3.0, (1.0, 2.0, 0.5), 1), (3.0, (1.0, 2.0, 0.5), 2),
+        (1.5, W5, 1), (1.5, W5, 2), (1.5, W5, 4),
+        (4.0, W40, 1), (4.0, W40, 20), (4.0, W40, 39),
+    ], ids=["p3-n3-j1", "p3-n3-j2", "p1.5-n5-j1", "p1.5-n5-j2", "p1.5-n5-j4",
+            "p4-n40-j1", "p4-n40-j20", "p4-n40-j39"])
+    def test_weighted_pth_moments_sum_to_one(self, cfg, p, weights, j):
+        spec = PBallSpec(p, weights)
+        vj = intrinsic_volume(spec, j, cfg)
+        total, err = 0.0, vj.est_rel_error
+        levels, first, counts = np.unique(spec.weights, return_index=True,
+                                          return_counts=True)
+        for a, k, count in zip(levels, first, counts):
+            # exponent p on coordinate k, the first of its level
+            mom = mixed_moment(spec, MomentRequest(spec.n - j,
+                                                   (0.0,) * k + (p,)), cfg)
+            total += count * a ** p * math.exp(mom.value.log_abs
+                                               - vj.value.log_abs)
+            err += mom.est_rel_error
+        assert abs(total - 1.0) <= err
+
+
 class TestDoubleRange:
-    """Float results beyond a double are a DomainError naming the
-    quantity; their logs are about 1271 to 1294 on this body."""
+    """Values beyond a double keep their log: on this body the logs are
+    about 1271 to 1294, and only the float view overflows, which
+    exp_checked turns into a DomainError naming the double range."""
 
     SPEC = dict(p=3.0, weights=[1e-3] * 200)
 
@@ -313,13 +380,17 @@ class TestDoubleRange:
         lambda spec: key_integral(spec, 1.0),
     ], ids=["surface_moment", "mixed_moment", "key_integral"])
     def test_overflow_is_a_domain_error(self, call):
+        log_val = call(PBallSpec(**self.SPEC)).value.log_abs
         with pytest.raises(DomainError, match="double range"):
-            call(PBallSpec(**self.SPEC))
+            exp_checked(log_val, "the moment")
 
     def test_log_variant_stays_finite(self):
-        log_val = mixed_moment_log(PBallSpec(**self.SPEC),
-                                   MomentRequest(3)).log_abs
-        assert 1200.0 < log_val < 1300.0
+        spec = PBallSpec(**self.SPEC)
+        for res in (surface_moment(spec), mixed_moment(spec, MomentRequest(3)),
+                    key_integral(spec, 1.0)):
+            assert 1200.0 < res.value.log_abs < 1300.0
+            assert res.value.value == math.inf
+            assert 0.0 < res.est_rel_error < 1e-6
 
 
 class TestProjections:

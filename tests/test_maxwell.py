@@ -16,6 +16,8 @@ from scipy.integrate import quad
 
 from lpvol import maxwell
 from lpvol.errors import DomainError
+from lpvol.exactvol import (MomentRequest, PBallSpec, intrinsic_volume,
+                            mixed_moment)
 from lpvol.maxwell import (
     LIMIT_REGIMES,
     EmpiricalSample,
@@ -258,18 +260,19 @@ class TestBoundaryIdentities:
 
     @pytest.mark.parametrize("p, n, j", ROWS)
     def test_pth_moment_sums_to_one(self, cfg, p, n, j):
-        log_m, err = maxwell._moment_ratio_log(p, n, j, [p], cfg, False)
-        assert abs(math.expm1(log_m + math.log(n))) <= err
+        res = finite_n_moment_ratio(p, n, j, [p], cfg)
+        assert abs(math.expm1(res.value.log_abs + math.log(n))) <= (
+            res.est_rel_error)
 
     @pytest.mark.parametrize("p, n, j", ROWS)
     def test_constraint_times_first_coordinate(self, cfg, p, n, j):
-        log_m, err = maxwell._moment_ratio_log(p, n, j, [p], cfg, False)
-        log_sq, err_sq = maxwell._moment_ratio_log(p, n, j, [2.0 * p], cfg,
-                                                   False)
-        log_pair, err_pair = maxwell._moment_ratio_log(p, n, j, [p, p], cfg,
-                                                       False)
-        lhs = math.exp(log_sq - log_m) + (n - 1) * math.exp(log_pair - log_m)
-        assert abs(lhs - 1.0) <= err + err_sq + err_pair
+        one, sq, pair = (finite_n_moment_ratio(p, n, j, lam, cfg)
+                         for lam in ([p], [2.0 * p], [p, p]))
+        log_m = one.value.log_abs
+        lhs = (math.exp(sq.value.log_abs - log_m)
+               + (n - 1) * math.exp(pair.value.log_abs - log_m))
+        assert abs(lhs - 1.0) <= (one.est_rel_error + sq.est_rel_error
+                                  + pair.est_rel_error)
 
     @pytest.mark.parametrize("law", [
         lambda: LimitLaw.bulk(3.0, 0.5), lambda: LimitLaw.bulk(1.5, 0.25),
@@ -290,14 +293,31 @@ class TestFiniteNMomentRatio:
         for n in (6, 11):
             for j in (0, n // 2, n - 1):
                 ratio = finite_n_moment_ratio(2.0, n, j, (2.0,), loose_cfg)
-                assert ratio == pytest.approx(1.0 / n, rel=5e-8)
+                assert ratio.value.value == pytest.approx(1.0 / n, rel=5e-8)
 
-    def test_scaled_flag(self, loose_cfg):
+    @pytest.mark.parametrize("n, j", [(8, 4), (64, 1), (64, 32), (512, 256),
+                                      (512, 511), (4096, 2048)])
+    def test_error_bounds_round_ball_second_moment(self, cfg, n, j):
+        # n E X_1^2 = 1 exactly; the error sums those of the moment and
+        # of V_j, and the nodes those of both integrals
+        res = finite_n_moment_ratio(2.0, n, j, (2.0,), cfg)
+        assert res.est_rel_error > 0.0
+        assert abs(math.expm1(res.value.log_abs + math.log(n))) <= (
+            res.est_rel_error)
+        spec = PBallSpec.unit(2.0, n)
+        num = mixed_moment(spec, MomentRequest(n - j, (2.0,)), cfg)
+        den = intrinsic_volume(spec, j, cfg)
+        assert res.est_rel_error == num.est_rel_error + den.est_rel_error
+        assert res.theta_nodes == num.theta_nodes + den.theta_nodes
+
+    def test_scaled_moment_is_ratio_times_n(self, loose_cfg):
+        # the table scales the ratio by n^(sum(lambdas)/p), here n
         raw = finite_n_moment_ratio(2.0, 8, 4, (2.0,), loose_cfg)
-        scaled = finite_n_moment_ratio(
-            2.0, 8, 4, (2.0,), loose_cfg, scaled=True
-        )
-        assert scaled == pytest.approx(raw * 8.0, rel=1e-12)
+        (row,) = convergence_table(2.0, "bulk", [2.0], [8], alpha=0.5,
+                                   cfg=loose_cfg)
+        assert row.scaled_moment == pytest.approx(raw.value.value * 8.0,
+                                                  rel=1e-12)
+        assert row.est_rel_error == raw.est_rel_error
 
     def test_validation(self, loose_cfg):
         with pytest.raises(DomainError):
@@ -307,7 +327,7 @@ class TestFiniteNMomentRatio:
         # j = n - 1 is codimension 1, where any lambda > -1 converges,
         # also lambda <= 1 - p
         ratio = finite_n_moment_ratio(1.5, 10, 9, (-0.7,))
-        assert math.isfinite(ratio) and ratio > 0.0
+        assert math.isfinite(ratio.value.log_abs) and ratio.est_rel_error > 0.0
 
 
 class TestConvergenceTables:
@@ -390,7 +410,8 @@ class TestConvergenceTables:
         def record(*args, **kwargs):
             computed.append(args)
 
-        for name in ("_moment_ratio_log", "limit_moment", "phase_maximizer"):
+        for name in ("finite_n_moment_ratio", "limit_moment",
+                     "phase_maximizer"):
             monkeypatch.setattr(maxwell, name, record)
         with pytest.raises(DomainError, match=message):
             convergence_table(3.0, regime, [2.0], ns, **kw)
@@ -415,11 +436,18 @@ class TestDoubleRange:
         with pytest.raises(DomainError, match=f"E\\|xi\\|\\^{lam:g}"):
             limit_moment(law, lam)
 
-    def test_finite_n_ratio_raises(self):
-        # the unscaled value e^-82.6 is in range, the scaled e^1304 is not
-        assert finite_n_moment_ratio(3.0, 64, 61, (1000.0,)) > 0.0
+    def test_finite_n_ratio_raises(self, monkeypatch):
+        # the record keeps its log, e^-82.6; scaled by n^(lambda/p) it is
+        # e^1304, which the table refuses by name.  The limit, itself
+        # beyond a double, is replaced by one in range so the row is reached
+        res = finite_n_moment_ratio(3.0, 64, 61, (1000.0,))
+        assert -83.0 < res.value.log_abs < -82.0
+        scaled_log = res.value.log_abs + 1000.0 / 3.0 * math.log(64)
+        assert 1300.0 < scaled_log < 1310.0
+        monkeypatch.setattr(maxwell, "limit_moment",
+                            lambda law, lam, cfg=None: 1.0)
         with pytest.raises(DomainError, match="lambda=.*1000.* n=64"):
-            finite_n_moment_ratio(3.0, 64, 61, (1000.0,), scaled=True)
+            convergence_table(3.0, "right", [1000.0], [64], m=3)
 
     @pytest.mark.parametrize("regime, kw, lam", [
         ("right", {"m": 3}, 1000.0), ("left", {"j": 2}, 1000.0),

@@ -1,13 +1,15 @@
-"""The CLI uses the package through its public names only: cli.py binds
-no _-prefixed name of another lpvol module, by import or by attribute,
-so a module's private helpers can change without touching the front
-end.  Read with ast; nothing is imported.
+"""The CLI and the limit-law module use the rest of the package through
+its public names only: neither binds a _-prefixed name of another lpvol
+module, by import or by attribute, so a module's private helpers can
+change without touching them.  Read with ast; nothing is imported.
 """
 
 import ast
 from pathlib import Path
 
-CLI = Path(__file__).resolve().parents[1] / "src" / "lpvol" / "cli.py"
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lpvol"
 
 
 def _private(name: str) -> bool:
@@ -49,5 +51,6 @@ def test_checker_sees_private_names():
                          "_SUITES = {}\nargs._x = 1\n") == []
 
 
-def test_cli_uses_no_private_lpvol_name():
-    assert _private_uses(CLI.read_text()) == []
+@pytest.mark.parametrize("module", ["cli.py", "maxwell.py"])
+def test_uses_no_private_lpvol_name(module):
+    assert _private_uses((SRC / module).read_text()) == []
