@@ -11,7 +11,13 @@ command-line `validate` suites reuse them.
 A Monte Carlo draw is classified by the first certified bound on its
 distance to the body that decides it: |x| against the radii of balls
 inside and around B (Hoelder, moved outward past rounding), then the
-gauge, then the support plane; only the sliver left is projected.
+axis segments inside B and the box around it, then the gauge, then the
+distance duality d(x, B) = max over unit u of <x, u> - h(u), h the
+support function: any u gives a lower bound, and the boundary point
+with outer normal u an upper one, both in closed form for a weighted
+p-ball, with u refined by a few Newton steps.  Only the draws these
+leave open are projected.  Draws come in blocks of _BLOCK rows, so
+memory does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BATCH = 65_536
+_BLOCK = 8_192
+_NEWTON_STEPS = 8
 _NUDGE = 16.0 * np.finfo(float).eps
 
 
@@ -49,7 +57,9 @@ class McConfig:
 
     Results are bitwise reproducible given (sample_count, seed): draws come
     in batches of _BATCH, and batch b consumes its own counter-based
-    substream keyed (seed, b), so merging is order-independent.
+    substream keyed (seed, b), so merging is order-independent.  A batch
+    is drawn in blocks of _BLOCK rows, each block the next rows of the
+    batch's own stream, so the block size changes no draw.
     """
 
     sample_count: int = 100_000
@@ -314,42 +324,163 @@ def project_lp_ball(spec: PBallSpec, x: Sequence[float]) -> np.ndarray:
     return _project_batch(spec, pt[None, :])[0]
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-column dot product of (n, k) arrays."""
+    return np.einsum("ij,ij->j", x, y)
+
+
+def _support_bounds(spec: PBallSpec, x: np.ndarray, v: np.ndarray):
+    """Certified bounds on d(x, B) from the direction u = v / |v|.
+
+    Columns x >= 0 and v >= 0, v != 0 (shape (n, k), a draw per column,
+    so that reductions over coordinates run along contiguous memory).
+    With h(u) = ||u / a||_q, q = p/(p-1), the support function of B,
+    lower = <x, u> - h(u) <= d(x, B).  Two points of B give upper =
+    min |x - y| >= d(x, B): y = grad h(u), the boundary point with outer
+    normal u, and the point x - v, clipped at 0 and pulled in radially
+    when outside B.  Both are scaled by their computed gauge and moved
+    inside B by _NUDGE.  Returns (lower, upper, h(v), r, g) with r =
+    v / (a h(v)) and g = r^(q-1) = a grad h(v), for the Newton step.
+    """
+    p, a = spec.p, spec.weights[:, None]
+    q = p / (p - 1.0)
+    hv = _pnorm((v / a).T, q)
+    r = v / a / hv
+    g = r ** (q - 1.0)
+    lower = (_dot(x, v) - hv) / np.sqrt(_dot(v, v))
+    # ||g||_p^p = sum g r since (q-1)(p-1) = 1: the ulp by which g is
+    # rounded is p-1 ulp of g^p, and one again after the 1/p-th root
+    y = g / a * ((1.0 - _NUDGE) / np.sum(g * r, axis=0) ** (1.0 / p))
+    z = np.maximum(x - v, 0.0)
+    z *= (1.0 - _NUDGE) / np.maximum(_pnorm((z * a).T, p), 1.0)
+    upper = np.sqrt(np.minimum(_dot(x - y, x - y), _dot(x - z, x - z)))
+    return lower, upper, hv, r, g
+
+
+def _newton_step(spec: PBallSpec, x: np.ndarray, v: np.ndarray,
+                 hv: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton step toward v* = x - proj(x), the minimizer of the convex
+    Phi(v) = h(v) + |v - x|^2 / 2, cut so that no coordinate of v loses
+    more than 9/10 of itself.
+
+    The gradient is v + g/a - x and the Hessian I + k (diag(lam) - g g^T)
+    scaled by 1/a on both sides, with k = (q-1)/h(v), lam = r^(q-2);
+    Sherman-Morrison with m = 1/(1 + k lam/a^2) solves it, and its
+    denominator 1 - k sum m g^2/a^2 equals sum m r^q, free of
+    cancellation because sum r^q = 1.
+    """
+    p, a = spec.p, spec.weights[:, None]
+    q = p / (p - 1.0)
+    k = (q - 1.0) / hv
+    m = 1.0 / (1.0 + k * r ** (q - 2.0) / (a * a))
+    grad = v + g / a - x
+    mg = m * g / a
+    step = m * grad + k * mg * (_dot(mg, grad) / _dot(m, g * r))
+    cut = np.min(np.where(step > 0.0, v / step, np.inf), axis=0)
+    return step * np.minimum(1.0, 0.9 * cut)
+
+
+def _support_search(spec: PBallSpec, x: np.ndarray, gauge: np.ndarray,
+                    t_miss: float, t_hit: float):
+    """(hit, open) masks over columns x >= 0 outside B (gauge > 1).
+
+    A draw is a miss once a lower bound exceeds t_miss and a hit once an
+    upper bound is at most t_hit.  The first v is the radial residual
+    x - x/gauge, where the bounds are the support plane at x/|x| and the
+    radial chord.  Then each open draw tries the chord length along the
+    outer normal at the radial point, and after it up to _NEWTON_STEPS
+    Newton steps, each from v moved along its ray to the minimum of Phi,
+    where |v| = lower(v) (Phi there is |x|^2/2 - lower^2/2).  A try that
+    raises the lower bound is kept; one that does not is undone and
+    halves the draw's damping, and a kept one resets it to 1.
+    """
+    p, a = spec.p, spec.weights[:, None]
+    rad = x / gauge
+    v = x - rad
+    lower, upper, hv, r, g = _support_bounds(spec, x, v)
+    hit = upper <= t_hit
+    done = hit | (lower > t_miss)
+    cols = np.flatnonzero(~done)
+    # np.take and np.compress keep a (n, k) array C-ordered; x[:, cols]
+    # would not
+    x, v, r, g, rad = (np.take(c, cols, 1) for c in (x, v, r, g, rad))
+    lower, hv = lower[cols], hv[cols]
+    v_try = a * (a * rad) ** (p - 1.0)
+    v_try *= np.sqrt(_dot(v, v) / _dot(v_try, v_try))
+    damp = np.ones(len(cols))
+    for step in range(_NEWTON_STEPS + 1):
+        if not len(cols):
+            break
+        if step:
+            f = np.where(lower > 0.0, lower / np.sqrt(_dot(v, v)), 1.0)
+            v, hv = v * f, hv * f
+            v_try = v - damp * _newton_step(spec, x, v, hv, r, g)
+        lower_t, upper_t, hv_t, r_t, g_t = _support_bounds(spec, x, v_try)
+        hit[cols[upper_t <= t_hit]] = True
+        done[cols[(upper_t <= t_hit) | (lower_t > t_miss)]] = True
+        up = lower_t > lower
+        damp = np.where(up, 1.0, 0.5 * damp)
+        v, r, g = (np.where(up, new, old)
+                   for new, old in ((v_try, v), (r_t, r), (g_t, g)))
+        lower, hv = np.where(up, lower_t, lower), np.where(up, hv_t, hv)
+        keep = ~done[cols]
+        x, v, r, g = (np.compress(keep, c, 1) for c in (x, v, r, g))
+        cols, lower, hv, damp = cols[keep], lower[keep], hv[keep], damp[keep]
+    return hit, ~done
+
+
 def _offset_contains(spec: PBallSpec, pts: np.ndarray,
                      t: float) -> np.ndarray:
     """Membership mask for the parallel body B + t B_2^n.
 
-    Each test is a certified bound on d(x, B), and a draw pays only for
-    the tests its position needs, in this order:
+    Each test is a certified bound on d(x, B), compared with a margin
+    past its rounding, and a draw pays only for the tests its position
+    needs, in this order:
 
     1. |x|^2 alone: |x| <= r_in + t is a hit, |x| > r_out + t a miss;
-    2. in the annulus between, the gauge: the radial chord
-       |x| (1 - 1/gauge) >= d (<= 0 inside B), so at most t is a hit;
-    3. then the support-plane gap |x| - h(x/|x|) <= d, h the support
-       function of B, so above t is a miss;
-    4. only the sliver left pays for an exact projection.
+    2. in the annulus between, the axis segments [-1/a_i, 1/a_i] e_i
+       inside B (a hit when the nearest is within t) and the box
+       [-1/a, 1/a] around B (a miss when d(x, box) > t);
+    3. the gauge: <= 1 inside B, a hit (at t = 0 the gauge alone
+       decides every row of the annulus);
+    4. support-direction bounds (_support_search);
+    5. only the rows left open pay for an exact projection.
     """
     s = np.einsum("ij,ij->i", pts, pts)
     r_hit, r_miss = _radii(spec, t)
-    out = s <= r_hit * r_hit
-    idx = np.flatnonzero(~out & (s <= r_miss * r_miss))
-    # B is symmetric in each coordinate, so |x| has the same distance
-    ax = np.abs(pts[idx])
-    gauge = _pnorm(ax * spec.weights, spec.p)
+    hit = s <= r_hit * r_hit
+    idx = np.flatnonzero(~hit & (s <= r_miss * r_miss))
+    # B is symmetric in each coordinate, so |x| has the same distance;
+    # one column per draw
+    ax = np.abs(pts[idx].T, order="C")
+    a = spec.weights[:, None]
     if t == 0.0:
-        out[idx] = gauge <= 1.0
-        return out
-    norm = np.sqrt(s[idx])
-    near = norm * (1.0 - 1.0 / gauge) <= t
-    out[idx[near]] = True
-    idx, ax, norm = idx[~near], ax[~near], norm[~near]
-    q = spec.p / (spec.p - 1.0)
-    h = _pnorm(ax / (norm[:, None] * spec.weights), q)
-    sliver = ~(norm - h > t)
-    idx, ax = idx[sliver], ax[sliver]
+        hit[idx] = _pnorm((ax * a).T, spec.p) <= 1.0
+        return hit
+    # each bound is a few roundings of numbers at most r_miss in size
+    t_miss = t + 2.0 * _NUDGE * r_miss
+    t_hit = max(t - 2.0 * _NUDGE * r_miss, 0.0)
+    over = np.maximum(ax - 1.0 / a, 0.0) ** 2
+    # sum_(j != i) x_j^2 as a sum, free of the cancellation in |x|^2 - x_i^2
+    seg = np.min((1.0 - np.eye(spec.n)) @ (ax * ax) + over, axis=0)
+    near = seg <= t_hit * t_hit
+    hit[idx[near]] = True
+    rest = ~near & ~(over.sum(axis=0) > t_miss * t_miss)
+    idx, ax = idx[rest], np.compress(rest, ax, 1)
+    gauge = _pnorm((ax * a).T, spec.p)
+    inside = gauge <= 1.0
+    hit[idx[inside]] = True
+    idx, ax, gauge = idx[~inside], np.compress(~inside, ax, 1), gauge[~inside]
     if len(idx):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            found, open_ = _support_search(spec, ax, gauge, t_miss, t_hit)
+        hit[idx[found]] = True
+        idx = idx[open_]
+    if len(idx):
+        ax = np.abs(pts[idx])
         dist = np.linalg.norm(ax - _project_outside(spec, ax), axis=1)
-        out[idx] = dist <= t
-    return out
+        hit[idx] = dist <= t
+    return hit
 
 
 def steiner_mc_volume(spec: PBallSpec, t: float,
@@ -358,7 +489,9 @@ def steiner_mc_volume(spec: PBallSpec, t: float,
 
     Uniform draws over the tight bounding box prod [-1/a_i - t,
     1/a_i + t]; returns (estimate, standard error) with the binomial
-    standard error of the hit count.
+    standard error of the hit count.  Each batch is drawn in blocks of
+    _BLOCK rows into one buffer, and each block is classified on its own,
+    so memory is bounded by the block.
     """
     if spec.n not in (2, 3):
         raise DomainError(f"Monte Carlo oracle covers n in {{2, 3}}, got "
@@ -370,9 +503,16 @@ def steiner_mc_volume(spec: PBallSpec, t: float,
     box_vol = float(np.prod(2.0 * half))
     total = mc.sample_count
     hits = 0
+    buf = np.empty((min(_BLOCK, total), spec.n))
     for gen, size in batches(mc.seed, total, _BATCH):
-        pts = (2.0 * gen.random((size, spec.n)) - 1.0) * half[None, :]
-        hits += int(np.count_nonzero(_offset_contains(spec, pts, t)))
+        for done in range(0, size, _BLOCK):
+            pts = buf[:min(_BLOCK, size - done)]
+            # (2 U - 1) half, rounded step by step as one expression would
+            gen.random(out=pts)
+            pts *= 2.0
+            pts -= 1.0
+            pts *= half
+            hits += int(np.count_nonzero(_offset_contains(spec, pts, t)))
     rate = hits / total
     estimate = box_vol * rate
     std_err = box_vol * math.sqrt(max(rate * (1.0 - rate), 0.0) / total)

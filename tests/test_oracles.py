@@ -7,12 +7,14 @@ against the quadrature pipeline they are meant to check.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ellipe
 
 from lpvol import oracles
+from lpvol.cli import _STEINER_N2, _STEINER_N3
 from lpvol.errors import DomainError
 from lpvol.exactvol import PBallSpec, steiner_polynomial
 from lpvol.oracles import (
@@ -28,6 +30,11 @@ from lpvol.rng import batches, stream
 from lpvol.symfun import elementary_symmetric
 
 from .reference import ball_volume
+
+# (body, t) of the four `validate steiner-n2 steiner-n3` checks
+_VALIDATE_BODIES = [(spec, t) for _, spec, t, _ in _STEINER_N2 + _STEINER_N3]
+_VALIDATE_IDS = [f"p{spec.p:g}-n{spec.n}-t{t:g}"
+                 for spec, t in _VALIDATE_BODIES]
 
 
 class TestBallOracle:
@@ -314,8 +321,21 @@ class TestProjectionAgainstReference:
     @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0, 3.0, 3.5, 8.0])
     def test_offset_hit_flags(self, p, monkeypatch):
         # seeded draws over each bounding box, as steiner_mc_volume makes
-        # them; a hit flag may differ only within 1e-10 of the boundary
-        # of the parallel body
+        # them, with the support-direction stage switched off so that
+        # every draw outside B the cheap bounds leave open is projected;
+        # a hit flag may differ only within 1e-10 of the boundary of the
+        # parallel body
+        project = oracles._project_outside
+        projected = []
+
+        def counting(spec, x):
+            projected.append(len(x))
+            return project(spec, x)
+
+        def no_support(spec, x, gauge, t_miss, t_hit):
+            return np.zeros(x.shape[1], bool), np.ones(x.shape[1], bool)
+
+        monkeypatch.setattr(oracles, "_support_search", no_support)
         differing = 0
         for weights in ((1.0, 1.0), (1.0, 2.0), (1.0, 1.0, 1.0),
                         (1.0, 2.0, 0.5)):
@@ -324,7 +344,9 @@ class TestProjectionAgainstReference:
                 half = 1.0 / np.asarray(spec.weights) + t
                 pts = (2.0 * stream(17, k).random((2_000, spec.n)) - 1.0
                        ) * half
-                got = oracles._offset_contains(spec, pts, t)
+                with monkeypatch.context() as m:
+                    m.setattr(oracles, "_project_outside", counting)
+                    got = oracles._offset_contains(spec, pts, t)
                 with monkeypatch.context() as m:
                     m.setattr(oracles, "_project_outside",
                               _reference_project_outside)
@@ -335,7 +357,9 @@ class TestProjectionAgainstReference:
                     dist = np.linalg.norm(off - near, axis=1)
                     assert np.all(np.abs(dist - t) <= 1e-10)
                 differing += len(off)
-        print(f"p={p}: {differing} of 24000 hit flags differ")
+        assert sum(projected) > 0
+        print(f"p={p}: {differing} of 24000 hit flags differ, "
+              f"{sum(projected)} draws projected")
 
 
 class TestClassifier:
@@ -359,7 +383,7 @@ class TestClassifier:
             assert norm.min() <= r_in * (1.0 + 1e-13)
             assert norm.max() >= r_out * (1.0 - 1e-13)
 
-    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 64.0])
     def test_flags_match_projection_only_route(self, p):
         # every draw outside B projected; a flag may differ only within
         # 1e-10 of the boundary of the parallel body
@@ -374,6 +398,45 @@ class TestClassifier:
                     pts - oracles._project_batch(spec, pts), axis=1)
                 off = got != (dist <= t)
                 assert np.all(np.abs(dist[off] - t) <= 1e-10)
+
+
+    @pytest.mark.parametrize("weights, t, open_after_box, open_at_most", [
+        ((1e-3, 1e3), 100.0, 0, 0),
+        ((1e-2, 1.0, 1e2), 0.5, 6_697, 10),
+    ])
+    def test_reach_near_p_one(self, weights, t, open_after_box,
+                              open_at_most, monkeypatch):
+        # a needle and a slab at p = 1.0005, where 9,249 and 9,969 of
+        # these draws reached the projection before the box and axis
+        # segment bounds; counted once with the support-direction stage
+        # switched off, then with it
+        spec = PBallSpec(1.0005, weights)
+        half = 1.0 / np.asarray(spec.weights) + t
+        pts = (2.0 * stream(29, 0).random((10_000, spec.n)) - 1.0) * half
+        project = oracles._project_outside
+        projected = []
+
+        def counting(spec, x):
+            projected.append(len(x))
+            return project(spec, x)
+
+        def no_support(spec, x, gauge, t_miss, t_hit):
+            return np.zeros(x.shape[1], bool), np.ones(x.shape[1], bool)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_project_outside", counting)
+            m.setattr(oracles, "_support_search", no_support)
+            before = oracles._offset_contains(spec, pts, t)
+            assert sum(projected) == open_after_box
+            m.undo()
+            m.setattr(oracles, "_project_outside", counting)
+            projected.clear()
+            got = oracles._offset_contains(spec, pts, t)
+            assert sum(projected) <= open_at_most
+        assert np.array_equal(got, before)
+        dist = np.linalg.norm(pts - oracles._project_batch(spec, pts), axis=1)
+        off = got != (dist <= t)
+        assert np.all(np.abs(dist[off] - t) <= 1e-10)
 
 
 class TestSteinerMonteCarlo:
@@ -437,6 +500,58 @@ class TestSteinerMonteCarlo:
         assert [k for _, k in split] == [4, 4, 2]
         for b, (gen, _) in enumerate(split):
             assert gen.random() == stream(3, b).random()
+
+    @pytest.mark.parametrize("spec, t", _VALIDATE_BODIES, ids=_VALIDATE_IDS)
+    def test_block_size_changes_nothing(self, spec, t, monkeypatch):
+        mc = McConfig(sample_count=200_000, seed=11)
+        runs = set()
+        for block in (1_000, 8_192, oracles._BATCH):
+            monkeypatch.setattr(oracles, "_BLOCK", block)
+            runs.add(steiner_mc_volume(spec, t, mc))
+        assert len(runs) == 1
+
+    def test_blocks_are_the_batch_stream(self, monkeypatch):
+        # 100,003 draws: a full batch and a short one, neither a multiple
+        # of the block; the blocks of batch b, joined, are bit for bit
+        # the one draw (2 U - 1) half from substream (seed, b)
+        spec, t = _VALIDATE_BODIES[3]
+        mc = McConfig(sample_count=100_003, seed=11)
+        half = 1.0 / np.asarray(spec.weights) + t
+        contains = oracles._offset_contains
+        blocks = []
+
+        def recording(spec, pts, t):
+            blocks.append(pts.copy())
+            return contains(spec, pts, t)
+
+        runs = set()
+        for block in (1_000, 8_192, oracles._BATCH):
+            monkeypatch.setattr(oracles, "_BLOCK", block)
+            monkeypatch.setattr(oracles, "_offset_contains", recording)
+            blocks.clear()
+            runs.add(steiner_mc_volume(spec, t, mc))
+            drawn = np.concatenate(blocks)
+            done = 0
+            for gen, size in batches(mc.seed, mc.sample_count,
+                                     oracles._BATCH):
+                whole = (2.0 * gen.random((size, spec.n)) - 1.0) * half
+                assert np.array_equal(drawn[done:done + size], whole)
+                done += size
+            assert done == len(drawn)
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("spec, t", _VALIDATE_BODIES, ids=_VALIDATE_IDS)
+    def test_memory_bounded_by_block(self, spec, t):
+        # 200,000 draws; whole batches of 65,536 rows peaked at 3.2-6.8 MB
+        mc = McConfig(sample_count=200_000, seed=0)
+        steiner_mc_volume(spec, t, mc)
+        tracemalloc.start()
+        try:
+            steiner_mc_volume(spec, t, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_zero_growth_recovers_volume(self):
         disk = PBallSpec(2.0, (1.0, 1.0))
