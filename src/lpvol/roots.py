@@ -69,7 +69,9 @@ def solve_increasing(f, lo, hi, start=None):
         g, dg = f(x)
         lo = np.where(g < 0.0, x, lo)
         hi = np.where(g > 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a +-inf Newton point (g / dg overflows) fails the bracket test
+        # below and falls back to the midpoint
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             newton = x - g / dg
         bisect = ~((lo <= newton) & (newton <= hi)
                    & (np.abs(newton - x) <= 0.5 * np.abs(before)))

@@ -16,15 +16,15 @@ substitution u = t^(-1/(2p-2)) z turns the integral into t^(-s) times a
 bounded-kernel integral, so t up to 1e20 stays in range for p from 1.001
 to 64.  Exponents above 1e5 are refused (see _P_MAX).  Many components
 (several t rows times several nu columns) are integrated on one shared
-adaptive grid.  Both ends of the u-axis are handled by closed forms:
+adaptive grid in y = log u, where u^nu du = e^((nu+1) y) dy has no
+endpoint singularity for any nu > -1 (Takahasi and Mori, Publ. RIMS 9,
+1974).  Both ends of the axis are handled by closed forms:
 
-- Left end.  Exponents nu in (-1, 0) have an integrable singularity at
-  u = 0.  Every row coefficient is at most 1, so below
+- Left end.  Every row coefficient is at most 1, so below
   y0 = -61 log 2 / (smallest exponent) the kernel exp(-c u^e_c - u^e_1)
   is 1 to double precision and the integral up to e^y0 is
-  e^((nu+1) y0)/(nu+1).  The rest of [0, split] is integrated in
-  y = log u, all nu < 0 columns on one grid, with u^e formed as
-  exp(e y), since u itself underflows near y0.
+  e^((nu+1) y0)/(nu+1), for every column.  u^e is formed as exp(e y),
+  since u itself underflows near y0.
 - Right end.  The shared upper limit comes from the elementary bound
   Gamma(s, x) <= x^(s-1) e^(-x) / (1 - max(s-1, 0)/x), x >= max(s, 1),
   on the tail integral_u^inf x^nu exp(-c x^e) dx = c^(-s)/e Gamma(s, c u^e),
@@ -37,13 +37,14 @@ Near p = 1 the rescaled z^p coefficient t^(-p/(2p-2)) is tiny (it
 underflows a double at p = 1.001, t = 10), so the mass of the z integral
 lies decades to hundreds of decades above the split point, far below the
 upper limit.  When that limit exceeds the split point by more than a
-factor 1e4, the piece above the split is integrated in y = log z instead,
-each (t, nu) component over its own window around the peak of its
-concave log-integrand, and kept in log form, since the value can exceed
-a double.  That piece is also taken in log z at large p (kernel exponent
-2p - 2 above 1024), where the kernel drops from 1 to 0 within about 1/p
-of u = 1, too narrow for a linear-u rule to find.  Each log value comes
-with a bound on its error, from the GK error estimates of its pieces.
+factor 1e4, the piece above the split leaves the shared grid: each
+(t, nu) component is integrated over its own window in y = log z around
+the peak of its concave log-integrand, and kept in log form, since the
+value can exceed a double.  That piece also goes to the windows at large
+p (kernel exponent 2p - 2 above 1024), where the kernel drops from 1 to 0
+within a few 1/p of y = 0, too close to the top of the shared grid for
+its end nodes to see.  Each log value comes with a bound on its error,
+from the GK error estimates of its pieces.
 
 No caller runs that table per value.  Every one reads F from
 f_family_log_interp (f_family_log_table, f_family and ijkl return its
@@ -164,11 +165,13 @@ def kappa(m) -> float:
 # ---------------------------------------------------------------------------
 # truncation bounds
 
-# absolute floor of every core-table GK piece; a tenth of it is the
-# u-tail target.  A fixed floor is safe: every row coefficient c is at
-# most 1, so on [0, 1] the integrand is at least u^nu e^-2 and each core
-# integral is at least e^-2/(nu+1).  The floor is then at most
-# 1e-14 e^2 (nu+1) of the value, below 1e-10 for nu up to 1000.
+# absolute floor of each core-table GK piece (two on the shared y grid,
+# one for the windows); a tenth of it is the u-tail target.  A fixed floor
+# is safe: every row coefficient c is at most 1, so on [0, 1] the
+# integrand is at least u^nu e^-2 and each core integral is at least
+# e^-2/(nu+1), whatever the integration variable.  The two floors of the
+# shared grid are then at most 2e-14 e^2 (nu+1) of the value, below 1e-10
+# for nu up to 600.
 _ABS_TOL = 1e-14
 
 
@@ -233,19 +236,25 @@ def _log_upper_limit(cs, e_c, e_1, nus):
 # ---------------------------------------------------------------------------
 # core table
 
-# log of the largest ratio u_hi / split integrated on a linear u scale
+# log of the largest ratio u_hi / split integrated on the shared y grid:
+# beyond it (p near 1) the mass can sit decades above the split, a narrow
+# peak in a long y range that one grid for every component can miss
 _LOG_WIDE_SPAN = math.log(1e4)
-# largest kernel exponent integrated on a linear u scale: exp(-u^e) falls
-# from 1 to 0 within about 1/e of u = 1, and above this e that drop is
-# narrower than the node spacing of the first GK15 panel on [split, u_hi]
-# (about 2e-3), which can then read ~0 at every node and stop
-_LINEAR_MAX_EXPONENT = 1024.0
+# largest kernel exponent integrated on the shared y grid: exp(-e^(e y))
+# falls from 1 to 0 between about y = -3/e and the grid's top y_top,
+# about 3.5/e.  The outermost node of the first GK15 panel on
+# [y_b, y_top] lies 0.0086 of its half-width (0.35), 3e-3, inside y_top,
+# so from e of about 2000 on the whole drop can fall between that node
+# and y_top: every node reads the smooth e^((nu+1) y) (or ~0, for a large
+# nu), and the panel stops.  This limit keeps a factor 2 from there.  (At
+# e = 4e4, log F_p(0; 0) came out 2e-4 off with a bound of 0.)
+_MESH_MAX_EXPONENT = 1024.0
 # largest p the table resolves.  From p = 5e5 on the log-u piece misses
 # the same drop at the end of the nu = 0 window: log F(0; 0) is 8e-6 off
 # there, against a bound of 4e-8, while p = 3e5 is within 1e-15
 _P_MAX = 1e5
-# where [0, inf) is cut: for nu < 0 the piece below it, with the u^nu
-# endpoint singularity, is integrated in log u
+# where the windows of _log_u_piece start, when they are used; the
+# shared y grid runs up to it, or on to u_hi
 _SPLIT = 0.5
 # log-integrand drop that bounds each window of _log_u_piece
 _LOG_WINDOW = 40.0
@@ -256,8 +265,9 @@ def _log_u_piece(log_cs, e_c, e_1, nus, y_lo, y_hi, gk):
     (row, nu), integrated in y = log u, and its relative error.
 
     Used when [e^y_lo, e^y_hi] spans so many decades (p near 1, where the
-    rescaled z^p coefficient is tiny) that a linear-u rule on one shared
-    grid never sees the mass.  The log-integrand
+    rescaled z^p coefficient is tiny) that one shared grid may never see
+    the mass, and when that grid cannot hold u^nu or find the kernel's
+    drop (see _core_log_table).  The log-integrand
     h(y) = (nu+1) y - c e^(e_c y) - e^(e_1 y) is concave, so each
     component has one peak; it is integrated over its own window around
     that peak, where h is within _LOG_WINDOW of its maximum, mapped onto
@@ -322,11 +332,14 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     cs: per-row coefficients (k,), with their logs log_cs (exact even
     where cs underflows); nus: column exponents (m,), each > -1.  Returns
     (k, m) log values and (k, m) bounds on their absolute error, from the
-    GK error estimates of the pieces.  All rows and columns share one
-    adaptive grid per piece.  When the upper limit exceeds the split
-    point by more than exp(_LOG_WIDE_SPAN), or u^nu would overflow there,
-    or a kernel exponent exceeds _LINEAR_MAX_EXPONENT, the piece above
-    the split is integrated in log u by _log_u_piece.
+    GK error estimates of the pieces.  Every row and column is integrated
+    in y = log u, where u^nu du = e^((nu+1) y) dy has no endpoint
+    singularity for any nu: below y_a in closed form, then on one shared
+    adaptive grid per piece over [y_a, y_b] and [y_b, y_top].  y_top is
+    log of the upper limit, unless that limit exceeds the split point by
+    more than exp(_LOG_WIDE_SPAN), or u^nu would overflow there, or a
+    kernel exponent exceeds _MESH_MAX_EXPONENT: then y_top is log of the
+    split point and _log_u_piece takes the part above it.
     """
     cs = np.asarray(cs, dtype=float)
     log_cs = np.asarray(log_cs, dtype=float)
@@ -334,79 +347,51 @@ def _core_log_table(cs, log_cs, e_c, e_1, nus, cfg):
     k, m = len(cs), len(nus)
     log_hi = _log_upper_limit(cs, e_c, e_1, nus)
 
-    def kernel(u):
-        expo = -(np.outer(cs, u ** e_c) + u ** e_1)
-        return np.exp(expo, out=expo)
-
     def gk(f, lo, hi):
         return quad_gk(f, lo, hi, rel_tol=cfg.rel_tol, abs_tol=_ABS_TOL,
                        max_subdivisions=cfg.max_subdivisions)[:2]
 
-    vals = np.zeros((k, m))
-    errs = np.zeros((k, m))
-
-    def add_direct(sel, lo, hi):
-        nus_sel = nus[sel]
-
-        def f(u):
-            ker = kernel(u)
-            with np.errstate(divide="ignore"):
-                pw = np.exp(np.outer(nus_sel, np.log(u)))
-            return (ker[:, None, :] * pw[None, :, :]).reshape(
-                k * len(nus_sel), -1)
-
-        val, err = gk(f, lo, hi)
-        vals[:, sel] += val.reshape(k, len(nus_sel))
-        errs[:, sel] += err.reshape(k, len(nus_sel))
-
-    log_wide = None
     y_split = math.log(_SPLIT)
-    # the linear-u piece forms u^nu as a double: once nu log u_hi nears
-    # the overflow point it goes to the log-u piece as well, and so does a
-    # kernel whose drop is too narrow for it (large p)
-    if (log_hi - y_split <= _LOG_WIDE_SPAN and nus.max() * log_hi < 700.0
-            and max(e_c, e_1) <= _LINEAR_MAX_EXPONENT):
-        add_direct(np.arange(m), _SPLIT, math.exp(min(log_hi, 700.0)))
-    else:
-        log_wide, rel_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split,
-                                          log_hi, gk)
-    neg = nus < 0.0
-    pos = ~neg
-    if pos.any():
-        add_direct(np.flatnonzero(pos), 0.0, _SPLIT)
-    if neg.any():
-        # nu in (-1, 0): integrate in y = log u on [y0, log split].  Every
-        # row has c <= 1, so below y0 the kernel is 1 to double precision
-        # and that part is e^((nu+1) y0)/(nu+1) in closed form.  Near
-        # p = 1, y0 reaches -21000 while the mass sits within 45/(nu+1)
-        # of the split and the kernel drops within 40/max(e_c, e_1) of
-        # it: one GK15 panel over all of it can read ~0 at every node
-        # and stop.  So the closed form starts at y_a, where every
-        # column's e^((nu+1) y) has fallen e^-45 (below y0 it is exact;
-        # above, what it adds is under 1e-15 of the total), and the
-        # kernel's drop gets its own panel from y_b on.
-        q = nus[neg] + 1.0
-        y0 = min(y_split, -61.0 * _LOG2 / min(e_c, e_1))
-        y_a = max(y0, y_split - 45.0 / q.min())
-        y_b = max(y_a, y_split - 40.0 / max(e_c, e_1))
+    # the shared grid forms u^nu as exp(nu y): once nu log u_hi nears the
+    # overflow point the part above the split goes to the log-u windows,
+    # and so does a kernel whose drop is too narrow for it (large p)
+    wide = not (log_hi - y_split <= _LOG_WIDE_SPAN
+                and nus.max() * log_hi < 700.0
+                and max(e_c, e_1) <= _MESH_MAX_EXPONENT)
+    y_top = y_split if wide else log_hi
+    # Every row has c <= 1, so below y0 the kernel is 1 to double
+    # precision and that part is e^((nu+1) y0)/(nu+1) in closed form.
+    # Near p = 1, y0 reaches -21000 while the mass below the split sits
+    # within 45/(nu+1) of it and the kernel drops within 40/max(e_c, e_1):
+    # one GK15 panel over all of it can read ~0 at every node and stop.
+    # So the closed form starts at y_a, where every column's e^((nu+1) y)
+    # has fallen e^-45 below its value at the split (below y0 it is
+    # exact; above, what it adds is under 1e-15 of the total), and the
+    # kernel's drop gets its own panel from y_b on.
+    q = nus + 1.0
+    y0 = min(y_split, -61.0 * _LOG2 / min(e_c, e_1))
+    y_a = max(y0, y_split - 45.0 / q.min())
+    y_b = max(y_a, y_split - 40.0 / max(e_c, e_1))
 
-        def f_neg(y):
-            # u^e as exp(e y): u = e^y itself underflows below y = -745
-            ker = np.exp(-(np.exp(log_cs[:, None] + e_c * y)
-                           + np.exp(e_1 * y)))
-            pw = np.exp(np.outer(q, y))
-            return (ker[:, None, :] * pw[None, :, :]).reshape(k * len(q), -1)
+    def f(y):
+        # u^e as exp(e y): u = e^y itself underflows below y = -745
+        ker = np.exp(-(np.exp(log_cs[:, None] + e_c * y) + np.exp(e_1 * y)))
+        pw = np.exp(np.outer(q, y))
+        return (ker[:, None, :] * pw[None, :, :]).reshape(k * m, -1)
 
-        vals[:, neg] += np.exp(q * y_a) / q
-        for lo, hi in ((y_a, y_b), (y_b, y_split)):
-            if lo < hi:
-                val, err = gk(f_neg, lo, hi)
-                vals[:, neg] += val.reshape(k, len(q))
-                errs[:, neg] += err.reshape(k, len(q))
+    vals = np.tile(np.exp(q * y_a) / q, (k, 1))
+    errs = np.zeros((k, m))
+    for lo, hi in ((y_a, y_b), (y_b, y_top)):
+        if lo < hi:
+            val, err = gk(f, lo, hi)
+            vals += val.reshape(k, m)
+            errs += err.reshape(k, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(vals)
         rel = errs / vals
-    if log_wide is not None:
+    if wide:
+        log_wide, rel_wide = _log_u_piece(log_cs, e_c, e_1, nus, y_split,
+                                          log_hi, gk)
         total = np.logaddexp(log_wide, out)
         with np.errstate(invalid="ignore"):
             rel = (rel_wide * np.exp(log_wide - total)

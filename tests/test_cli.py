@@ -615,6 +615,21 @@ class TestMaxwellCommand:
         assert (n0, n1) == (512, 1000)
         assert 0.0 < gap1 < gap0
 
+    def test_bulk_at_large_exponent_under_warnings_as_errors(self):
+        # the phase solve's Newton step once overflowed here, which exits
+        # 1 when every warning is an error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lpvol.cli", "maxwell",
+             "-p", "4096", "--regime", "bulk", "--alpha", "0.5",
+             "--lambda", "2", "--n", "64", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for v in row)
+
     def test_left_edge_near_p_one(self, capsys):
         # the gamma value inside lambda0 overflowed a double here; lambda0
         # itself is about 184

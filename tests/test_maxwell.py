@@ -70,6 +70,14 @@ class TestLimitLawConstruction:
         assert law.scale == pytest.approx((2.5 / 0.4) ** 0.4, rel=1e-14)
         assert law.phase_point.residual <= 1e-10
 
+    def test_bulk_factory_at_large_exponent(self):
+        # the log-u window peaks of the phase solve once made the Newton
+        # step overflow here; every warning is an error in this suite
+        law = LimitLaw.bulk(4096.0, 0.5)
+        assert law.phase_point.theta_star == pytest.approx(5322041.0191,
+                                                           rel=1e-9)
+        assert math.isfinite(limit_moment(law, 2.0))
+
     def test_edge_scales(self):
         assert LimitLaw.left_edge(3.0).scale == pytest.approx(3.0 ** (1 / 3))
         assert LimitLaw.right_edge(3.0).scale == pytest.approx(3.0 ** (1 / 3))
@@ -309,6 +317,13 @@ class TestFiniteNMomentRatio:
         den = intrinsic_volume(spec, j, cfg)
         assert res.est_rel_error == num.est_rel_error + den.est_rel_error
         assert res.theta_nodes == num.theta_nodes + den.theta_nodes
+
+    @pytest.mark.parametrize("j", [4096, 2, 8189])
+    def test_error_column_below_1e7_at_p_three_halves(self, j):
+        # bulk, left and right rows at n = 8192: the F-table node errors
+        # once put these at 1e-6
+        res = finite_n_moment_ratio(1.5, 8192, j, (2.0,))
+        assert 0.0 < res.est_rel_error < 1e-7
 
     def test_scaled_moment_is_ratio_times_n(self, loose_cfg):
         # the table scales the ratio by n^(sum(lambdas)/p), here n

@@ -120,6 +120,15 @@ class TestSolveIncreasing:
         assert np.ndim(y) == 0
         assert math.erf(y) == pytest.approx(0.5, rel=1e-15)
 
+    def test_overflowing_newton_point_falls_back_to_the_midpoint(self):
+        # g / g' overflows a double (a tiny g' beside a large g, as in the
+        # log-u window peaks at p = 4096); the inf Newton point leaves the
+        # bracket, with no overflow warning, and bisection takes over
+        y = solve_increasing(
+            lambda x: (1e300 * (x - 0.3), np.full_like(x, 1e-20)),
+            np.array([-1.0]), np.array([2.0]))
+        assert y[0] == pytest.approx(0.3, rel=1e-15)
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(roots, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceFailure):

@@ -22,7 +22,7 @@ from lpvol.specfun import (_DEGREE, DEFAULT_CONFIG, IJKL, QuadConfig,
                            log_gamma, log_kappa)
 
 from .reference import (F3_AT_ZERO, HALF_PERIMETER_NEAR_ONE,
-                        LOG_F_CALIBRATION, LOG_F_NEAR_ONE,
+                        LOG_F_CALIBRATION, LOG_F_DIRECT, LOG_F_NEAR_ONE,
                         LOG_F_NU_NEAR_MINUS_ONE, f_ref)
 
 P_GRID = (1.2, 1.5, 2.0, 3.0, 5.0)
@@ -226,10 +226,13 @@ class TestOverflow:
 
 
 class TestLargeExponent:
-    @pytest.mark.parametrize("p", [2e4, 1e5])
+    """Large p: the kernel drops from 1 to 0 within a few 1/p of u = 1.
+    Up to kernel exponent 2p - 2 = 1024 the shared y = log u grid takes
+    it; above, the log-u windows do."""
+
+    @pytest.mark.parametrize("p", [400.0, 600.0, 1000.0, 1100.0, 2e4, 1e5])
     def test_values_at_zero_within_their_bounds(self, p):
-        # the kernel drops from 1 to 0 within about 1/p of u = 1; a
-        # linear-u rule once missed that drop and read log F(0; p-2) at
+        # a rule that missed that drop once read log F(0; p-2) at
         # p = 2e4 as -43.7 (exact -9.21) with a bound of 6.7
         nus = [0.0, p - 2.0, 2.0 * p - 2.0]
         vals, bounds = f_family_log_interp(p, [0.0], nus)
@@ -263,8 +266,8 @@ class TestNearOne:
 
 class TestNuNearMinusOne:
     """nu -> -1: almost all of F sits in the u^nu singularity at 0, where
-    the head below y0 = log u is a closed form and the rest of [0, split]
-    is integrated in y."""
+    the head below y_a = log u is a closed form and the rest is
+    integrated in y on the grid every column shares."""
 
     @pytest.mark.parametrize("nu", [-0.999, -0.9999, -0.99999])
     def test_log_f_against_frozen_reference(self, nu):
@@ -275,8 +278,9 @@ class TestNuNearMinusOne:
 
 
 class TestLargeNu:
-    """Large nu: u^nu overflows a double on the linear-u piece once
-    nu log u_hi passes about 709, so that piece goes to log u too."""
+    """Large nu: u^nu = e^(nu y) overflows a double on the shared y grid
+    once nu log u_hi passes about 709, so the part above the split goes
+    to the log-u windows."""
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
     @pytest.mark.parametrize("nu", [200.0, 700.0, 1000.0])
@@ -304,6 +308,25 @@ class TestLargeNu:
         vals, bound = f_family_log_interp(1.001, [0.0, 1.0, 1e10], [nu])
         assert np.isfinite(vals).all() and np.isfinite(bound).all()
         assert abs(vals[0, 0] - f_family_at_zero_log(1.001, nu)) <= bound[0]
+
+
+class TestDirectTable:
+    """_direct_log_table, the interpolant's node evaluator: its own bound
+    must cover its error against mpmath."""
+
+    @pytest.mark.parametrize("p", sorted({k[0] for k in LOG_F_DIRECT}))
+    def test_bound_covers_mpmath_error(self, p):
+        # nu in {0, 0.5, 3} at p = 2.5 and {0.5, 2} at p = 3, t from 0
+        # to 1e8: both the t < 1 and the rescaled t >= 1 tables
+        nus = sorted({k[1] for k in LOG_F_DIRECT if k[0] == p})
+        ts = sorted({k[2] for k in LOG_F_DIRECT if k[0] == p})
+        vals, bound = _direct_log_table(p, np.array(ts), np.array(nus),
+                                        DEFAULT_CONFIG)
+        want = np.array([[LOG_F_DIRECT[(p, nu, t)] for nu in nus]
+                         for t in ts])
+        err = np.abs(vals - want)
+        assert np.all(err <= bound), (err, bound)
+        assert np.all(bound < 1e-9)
 
 
 class TestInterpolant:
