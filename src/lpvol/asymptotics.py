@@ -203,8 +203,14 @@ def phase_second_derivative(p, beta, theta, cfg: QuadConfig = None) -> float:
         logf4 + logi - 2.0 * logk)
     curv_j = math.exp(2.0 * (logl - logj)) * math.expm1(
         logf5 + logj - 2.0 * logl)
-    return (-0.5 * (1.0 - beta) / theta ** 2
-            + beta * curv_i + (1.0 - beta) * curv_j)
+    # theta * theta, unlike theta ** 2, goes to inf past 1.3e154 instead
+    # of raising, and the edge term then goes to 0
+    sq = theta * theta
+    edge = 0.5 * (1.0 - beta) / sq if sq > 0.0 else math.inf
+    if edge == math.inf:
+        raise DomainError(f"Psi'' at theta={theta!r} is beyond the double "
+                          f"range")
+    return -edge + beta * curv_i + (1.0 - beta) * curv_j
 
 
 def _check_dim(n, name="n") -> int:

@@ -39,8 +39,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import (ConvergenceFailure, DegenerateInput, DomainError,
-                     QuadratureFailure)
+from .errors import ConvergenceFailure, DomainError, QuadratureFailure
 from .specfun import DEFAULT_CONFIG, QuadConfig
 from .exactvol import (PBallSpec, intrinsic_volume, intrinsic_volumes,
                        steiner_polynomial)
@@ -89,8 +88,11 @@ def _weights_arg(text: str) -> list:
     """--weights takes an inline comma list or a path to a file holding
     one (whitespace or comma separated)."""
     if os.path.exists(text):
-        with open(text) as fh:
-            text = ",".join(fh.read().replace(",", " ").split())
+        try:
+            with open(text) as fh:
+                text = ",".join(fh.read().replace(",", " ").split())
+        except OSError as exc:
+            raise DomainError(f"cannot read --weights file {text}: {exc}")
     return _float_list(text, "--weights")
 
 
@@ -174,8 +176,12 @@ def _emit(args, manifest: dict, columns, rows) -> None:
             writer.writerow([_csv_cell(v) for v in row])
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(
+                f"cannot write --output file {args.output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -525,7 +531,7 @@ def main(argv=None) -> int:
             params, columns, rows = args.func(args, cfg)
             _emit(args, _manifest(args.command, params, cfg), columns, rows)
             code = 0
-    except (DomainError, DegenerateInput) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureFailure, ConvergenceFailure) as exc:

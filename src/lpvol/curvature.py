@@ -223,14 +223,15 @@ def gauss_map(pt: BoundaryPoint) -> np.ndarray:
 def inverse_gauss_map(spec: PBallSpec, u: Sequence[float]) -> BoundaryPoint:
     """The boundary point whose outer normal is the unit vector u:
 
-        x_i = a_i^(-q) |u_i|^(q-1) sign(u_i) / h(u)^(q-1).
+        x_i = a_i^(-q) |u_i|^(q-1) sign(u_i) / h(u)^(q-1),
+
+    formed as sign(u_i) r_i^(q-1) / a_i with r_i = |u_i| / (a_i h(u))
+    <= 1, so that no power overflows near p = 1.
     """
     v = _vector(spec, u, "normal")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-10:
         raise DomainError(f"normal must be a unit vector, |u| = {norm!r}")
     q = spec.p / (spec.p - 1.0)
-    h = support_function(spec, v)
-    x = (spec.weights ** (-q) * np.abs(v) ** (q - 1.0) * np.sign(v)
-         / h ** (q - 1.0))
-    return BoundaryPoint(spec, x)
+    r = np.abs(v) / spec.weights / support_function(spec, v)
+    return BoundaryPoint(spec, np.sign(v) * r ** (q - 1.0) / spec.weights)

@@ -36,10 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .logspace import LogValue
+from .logspace import LogValue, exp_checked, logsumexp_arr
 from .quadrature import log_theta_integral
 from .specfun import (QuadConfig, _cfg, as_exponent, f_family_log_interp,
-                      kappa, log_choose, log_kappa)
+                      log_choose, log_kappa)
 from .symfun import batched_loo_log
 
 __all__ = [
@@ -145,7 +145,9 @@ class MomentRequest:
         else:
             low = max(-1.0, 1.0 - p)
         for i, lam in enumerate(self.lambdas):
-            if not (math.isfinite(lam) and lam > low):
+            # at m > 1 the u column's nu = lam + p - 2 must exceed -1 too
+            if not (math.isfinite(lam) and lam > low
+                    and (m == 1 or lam + p - 2.0 > -1.0)):
                 raise DomainError(
                     f"moment exponent {i} is {lam}; needs > {low} at m={m}")
         total = sum(self.lambdas)
@@ -239,36 +241,34 @@ def intrinsic_volume(spec: PBallSpec, j: int, cfg: QuadConfig = None
 intrinsic_volume_weighted = intrinsic_volume
 
 
-def _coordinate_log_f(spec: PBallSpec, lam: np.ndarray, offsets,
-                      cfg: QuadConfig):
+def _coordinate_log_f(spec: PBallSpec, exps, cfg: QuadConfig):
     """F-table gather over coordinate groups.
 
-    Coordinate k reads log F(theta a_k^2; lam_k + o) for each offset o.
-    Coordinates with equal (a_k, lam_k) form one group, in order of first
-    appearance.  Returns (gather, counts, a2): gather maps a theta batch
-    (T,) to one (T, G) array per offset and, per offset, the largest
-    error bound on its log F values, with one interpolant call over the
-    distinct a_k^2 and the distinct nu values of all offsets; counts[g]
-    is the size of group g and a2[g] its a_k^2.
+    exps holds one exponent array per column: coordinate k reads
+    log F(theta a_k^2; e[k]) for each e in exps.  Coordinates whose
+    (a_k^2, e[k] for every e) rows are equal form one group, in order of
+    first appearance.  Returns (gather, counts, a2): gather maps a theta
+    batch (T,) to one (T, G) array per column and, per column, the
+    largest error bound on its log F values, with one interpolant call
+    over the distinct a_k^2 and the distinct nu values of all columns;
+    counts[g] is the size of group g and a2[g] its a_k^2.
     """
-    ua2, aidx = np.unique(spec.weights ** 2, return_inverse=True)
-    ulam, lidx = np.unique(lam, return_inverse=True)
-    _, first, counts = np.unique(aidx * len(ulam) + lidx, return_index=True,
+    rows = np.column_stack([spec.weights ** 2, *exps])
+    _, first, counts = np.unique(rows, axis=0, return_index=True,
                                  return_counts=True)
     order = np.argsort(first)
     first, counts = first[order], counts[order]
-    gidx = aidx[first]
-    unus, nidx = np.unique(np.concatenate([lam[first] + o for o in offsets]),
-                           return_inverse=True)
+    ua2, gidx = np.unique(rows[first, 0], return_inverse=True)
+    unus, nidx = np.unique(rows[first, 1:].T, return_inverse=True)
+    nidx = nidx.reshape(len(exps), -1)
 
     def gather(th):
         th = np.asarray(th, dtype=float)
         ts = np.outer(th, ua2).reshape(-1)
         tab, err = f_family_log_interp(spec.p, ts, unus, cfg)
         tab = tab.reshape(len(th), len(ua2), len(unus))
-        blocks = nidx.reshape(len(offsets), -1)
-        return ([tab[:, gidx, idx] for idx in blocks],
-                np.array([err[idx].max() for idx in blocks]))
+        return ([tab[:, gidx, idx] for idx in nidx],
+                np.array([err[idx].max() for idx in nidx]))
 
     return gather, counts, ua2[gidx]
 
@@ -288,43 +288,38 @@ def _moments(spec: PBallSpec, ms, lam: np.ndarray, cfg: QuadConfig) -> list:
     v^(n-m) u^(m-1) w and log C(n, m) takes the place of -log m in the
     prefactor (for unit weights, the I^j J^(m-1) K integrand of V_j,
     j = n - m).  Otherwise each member still open makes one engine call.
-    The u column is read whenever its nu = lam_k + p - 2 all exceed -1,
-    so the nu set does not depend on which m are asked for.
-    MomentRequest.validate ensures that for m > 1; at m = 1, where it can
-    fail when p < 2, the order-0 coefficient never reads u_k.
+    Every member reads the same three columns; when some lam_k + p - 2 <= -1
+    the u column repeats v, which MomentRequest.validate allows only at
+    m = 1, where the order-0 coefficient never reads u_k.
 
     Every term of the sum reads n - m v-values, m - 1 u-values and one
-    w-value, so with eps the largest F-interpolant bound of each offset's
-    columns the log integrand is off by at most (n-m) eps_v +
-    (m-1) eps_u + eps_w, and each error includes that.
+    w-value, so with eps the largest F-interpolant bound of each column
+    the log integrand is off by at most (n-m) eps_v + (m-1) eps_u +
+    eps_w, and each error includes that.
     """
     p, n = spec.p, spec.n
     ms = np.asarray(ms, dtype=int)
-    offsets = [0.0, 2.0 * p - 2.0]
-    if lam.min() + p - 2.0 > -1.0:
-        offsets.append(p - 2.0)
-    gather, counts, a2 = _coordinate_log_f(spec, lam, offsets, cfg)
+    u_exp = lam + (p - 2.0) if lam.min() + p - 2.0 > -1.0 else lam
+    gather, counts, a2 = _coordinate_log_f(
+        spec, [lam, u_exp, lam + (2.0 * p - 2.0)], cfg)
     log_a2 = np.log(a2)
     one_group = len(counts) == 1
-    bound = np.zeros(3)   # eps_v, eps_w, eps_u (0 when u is not read)
-    read = bound[:len(offsets)]
+    bound = np.zeros(3)   # eps_v, eps_u, eps_w: the largest seen so far
 
     def log_smooth(th, idx):
         cols, err = gather(th)
-        np.maximum(read, err, out=read)
-        logv, logw = cols[0], log_a2 + cols[1]
-        logu = log_a2 + cols[2] if len(cols) > 2 else logv
+        np.maximum(bound, err, out=bound)
+        logv, logu, logw = cols[0], log_a2 + cols[1], log_a2 + cols[2]
         if one_group:
             return (n - ms[idx]) * logv + (ms[idx] - 1) * logu + logw
-        return np.stack([batched_loo_log(logv, logu if m > 1 else logv,
-                                         logw, m, counts) for m in ms[idx]],
-                        axis=1)
+        return np.stack([batched_loo_log(logv, logu, logw, m, counts)
+                         for m in ms[idx]], axis=1)
 
     total = float(lam.sum())
     s_tail = (total + (n - ms) + p) / (2.0 * p - 2.0)
     log_ints, log_errs, nodes = log_theta_integral(0.5 * ms - 1.0, log_smooth,
                                                    s_tail, cfg)
-    eps_v, eps_w, eps_u = bound
+    eps_v, eps_u, eps_w = bound
     out = []
     for m, log_int, log_err in zip(ms.tolist(), log_ints.tolist(),
                                    log_errs.tolist()):
@@ -393,7 +388,7 @@ def key_integral(spec: PBallSpec, alpha: float,
             f"alpha={alpha} outside the convergence strip "
             f"(0, {float((al + 1.0).sum()) / (p - 1.0)})")
     mu = (n + float(al.sum()) - alpha * (p - 1.0)) / p
-    gather, counts, _ = _coordinate_log_f(spec, al, [0.0], cfg)
+    gather, counts, _ = _coordinate_log_f(spec, [al], cfg)
     bound = np.zeros(1)
 
     def log_smooth(th, idx):
@@ -428,7 +423,8 @@ def mean_projection_volume(spec: PBallSpec, j: int,
 
 def steiner_polynomial(spec: PBallSpec, t: float,
                        cfg: QuadConfig = None) -> float:
-    """Volume of the parallel body at distance t >= 0:
+    """Volume of the parallel body at distance t >= 0, summed in logs
+    (DomainError when it overflows a double):
 
         Vol(B + t B_2^n) = sum_j kappa_(n-j) V_j(B) t^(n-j).
     """
@@ -436,7 +432,10 @@ def steiner_polynomial(spec: PBallSpec, t: float,
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"offset distance must be >= 0, got {t}")
     n = spec.n
-    total = 0.0
-    for j, res in enumerate(intrinsic_volumes(spec, range(n + 1), cfg)):
-        total += kappa(n - j) * res.value.value * t ** (n - j)
-    return total
+    vjs = intrinsic_volumes(spec, range(n + 1), cfg)
+    # at t = 0 only the j = n term, the volume, is left
+    log_terms = [vjs[n].value.log_abs] + [
+        log_kappa(n - j) + res.value.log_abs + (n - j) * math.log(t)
+        for j, res in enumerate(vjs[:n]) if t > 0.0]
+    return exp_checked(float(logsumexp_arr(log_terms)),
+                       f"the Steiner polynomial at t={t:g}")

@@ -116,18 +116,14 @@ def _eval_log(logf, a_arr, b_arr):
         raise QuadratureFailure("log-integrand returned NaN")
     hl = np.tile(hl, k)
     m = lf.max(axis=1)
-    finite = m > LOG_ZERO
-    sc = np.zeros_like(lf)
-    if finite.any():
-        sc[finite] = np.exp(lf[finite] - m[finite, None])
+    # an all -inf row scales to zeros, whose value and error are LOG_ZERO
+    sc = np.exp(lf - np.where(m > LOG_ZERO, m, 0.0)[:, None])
     resk, err_sc = _gk15(sc)
     with np.errstate(divide="ignore"):
         logval = np.where(resk > 0.0, m + np.log(hl * np.maximum(resk, 1e-320)),
                           LOG_ZERO)
         logerr = np.where(err_sc > 0.0, m + np.log(hl * np.maximum(err_sc, 1e-320)),
                           LOG_ZERO)
-    logval[~finite] = LOG_ZERO
-    logerr[~finite] = LOG_ZERO
     return logval.reshape(k, ni), logerr.reshape(k, ni)
 
 

@@ -161,6 +161,15 @@ class TestPhaseSecondDerivative:
         with pytest.raises(DomainError):
             phase(2.0, 0.5, 0.0)
 
+    def test_huge_theta_is_finite(self):
+        # theta^2 overflows a double from 1.3e154 on
+        assert math.isfinite(phase_second_derivative(3.0, 0.5, 1e300))
+
+    def test_tiny_theta_is_a_domain_error(self):
+        # -(1 - beta) / (2 theta^2) is beyond the double range
+        with pytest.raises(DomainError, match="double range"):
+            phase_second_derivative(3.0, 0.5, 1e-300)
+
 
 class TestBulkGrowthLaw:
     def test_round_ball_accuracy_and_trend(self):

@@ -184,6 +184,14 @@ class TestIntrinsicCommand:
         ])
         assert rc == 2
 
+    def test_weights_directory_is_two(self, capsys, tmp_path):
+        rc, out, err = run(capsys, [
+            "intrinsic", "-p", "3", "-n", "4", "-j", "2",
+            "--weights", str(tmp_path),
+        ])
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot read --weights file {tmp_path}")
+
 
 class TestCommandContract:
     """Each table command returns (parameters, columns, rows) and writes
@@ -282,6 +290,15 @@ class TestOutputContract:
         assert rc == 0
         assert out == ""
         assert path.read_text() == stdout_text
+
+    @pytest.mark.parametrize("target", ["missing/table.csv", "."])
+    def test_unwritable_output_is_two(self, capsys, tmp_path, target):
+        # a missing parent directory, and a directory in place of a file
+        path = tmp_path / target
+        rc, out, err = run(capsys, ["intrinsic", "-p", "3", "-n", "2", "-j",
+                                    "1", "--output", str(path)])
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write --output file {path}")
 
     def test_config_override_lands_in_manifest(self, capsys, tmp_path):
         path = tmp_path / "quad.cfg"

@@ -291,6 +291,18 @@ class TestGaussMapAndSupport:
         with pytest.raises(DomainError):
             inverse_gauss_map(spec, [np.nan, 0.0])
 
+    @pytest.mark.parametrize("p, weights", [
+        (1.0001, (1e-3, 1.0)),     # a_1^(-q) and h^(q-1) overflow
+        (1.1, (1e-30, 1.0)),       # a_1^(-q) overflows, x = (1e30, 1.8e-299)
+    ])
+    def test_preimage_near_p_one(self, p, weights):
+        spec = PBallSpec(p, weights)
+        pt = inverse_gauss_map(spec, (0.6, 0.8))
+        assert float(spec.gauge(pt.coords)) == pytest.approx(1.0, abs=1e-12)
+        assert pt.coords[0] == pytest.approx(1.0 / weights[0], rel=1e-12)
+        if pt.coords[1] > 0.0:
+            np.testing.assert_allclose(gauss_map(pt), (0.6, 0.8), rtol=1e-12)
+
 
 class TestDensityRecoversIntrinsicVolumes:
     """In the plane, integrating the codimension-m density over arclength

@@ -227,6 +227,17 @@ class TestMixedMoments:
         with pytest.raises(DomainError, match="sum"):
             MomentRequest(2, (-1.9, -1.9)).validate(PBallSpec.unit(3.0, 2))
 
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_u_exponent_rounding_to_minus_one_is_refused(self, cfg, m):
+        # -0.3 exceeds 1 - 1.3 = -0.30000000000000004, but -0.3 + 1.3 - 2
+        # rounds to -1, where F(.; lambda + p - 2) diverges
+        spec = PBallSpec.unit(1.3, 5)
+        request = MomentRequest(m, (0.5, -0.3))
+        with pytest.raises(DomainError, match="moment exponent 1"):
+            request.validate(spec)
+        with pytest.raises(DomainError):
+            mixed_moment(spec, request, cfg)
+
 
 class TestSurfaceMoments:
     def test_sphere_area(self, cfg):
@@ -252,6 +263,18 @@ class TestSurfaceMoments:
         got = surface_moment(PBallSpec.unit(2.0, 3), (2.0,),
                              cfg).value.value
         assert got == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("p, lam", [(1.5, -0.7), (1.2, -0.5),
+                                        (1.9, -0.95)])
+    def test_one_group_order_zero_matches_grouped_engine(self, cfg, p, lam):
+        # lam + p - 2 <= -1, so the u column repeats v; on the unit ball
+        # the closed form of one group serves, and a last weight one ulp
+        # above 1 sends the same body through the leave-one-out engine
+        one = surface_moment(PBallSpec.unit(p, 3), (lam,) * 3, cfg)
+        grouped = surface_moment(PBallSpec(p, (1.0, 1.0, 1.0 + 2.0 ** -52)),
+                                 (lam,) * 3, cfg)
+        assert abs(one.value.log_abs - grouped.value.log_abs) <= (
+            one.est_rel_error + grouped.est_rel_error)
 
 
 class TestKeyIntegral:
@@ -430,6 +453,11 @@ class TestSteinerPolynomial:
     def test_rejects_negative_offset(self, cfg):
         with pytest.raises(DomainError):
             steiner_polynomial(PBallSpec.unit(2.0, 2), -0.1, cfg)
+
+    def test_overflow_is_a_domain_error(self, cfg):
+        # t^3 alone is 1e330
+        with pytest.raises(DomainError, match="double range"):
+            steiner_polynomial(PBallSpec.unit(3.0, 3), 1e110, cfg)
 
     @pytest.mark.parametrize("p, weights, t, value", [
         (2.0, (1.0, 1.0), 0.5, 7.068583470522154),
